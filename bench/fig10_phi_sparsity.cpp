@@ -25,8 +25,9 @@ int main() {
   Histogram Buckets; // 10% buckets: 0 => [0,10), 1 => [10,20), ...
   uint64_t Vars = 0, Under20 = 0;
   for (const auto &C : Corpus) {
-    ProgramStructureTree T = ProgramStructureTree::build(C.Fn.Graph);
-    PhiPlacement P = placePhisPst(C.Fn, T);
+    FrozenCfg FV(C.Fn.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(FV);
+    PhiPlacement P = placePhisPst(C.Fn, FV, T);
     for (VarId V = 0; V < C.Fn.numVars(); ++V) {
       double Frac = P.RegionsTotal
                         ? static_cast<double>(P.RegionsExamined[V]) /

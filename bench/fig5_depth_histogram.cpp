@@ -24,7 +24,7 @@ int main() {
 
   Histogram Depths;
   for (const auto &C : Corpus) {
-    ProgramStructureTree T = ProgramStructureTree::build(C.Fn.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(C.Fn.Graph));
     for (RegionId R = 1; R < T.numRegions(); ++R)
       Depths.add(T.region(R).Depth);
   }

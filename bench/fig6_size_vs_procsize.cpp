@@ -31,8 +31,9 @@ int main() {
   };
   std::vector<Row> Rows;
   for (const auto &C : Corpus) {
-    ProgramStructureTree T = ProgramStructureTree::build(C.Fn.Graph);
-    PstStats S = computePstStats(C.Fn.Graph, T);
+    FrozenCfg V(C.Fn.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
+    PstStats S = computePstStats(V, T);
     Rows.push_back(Row{C.Fn.NumStatements, S.NumRegions, S.AvgDepth});
   }
   std::sort(Rows.begin(), Rows.end(),

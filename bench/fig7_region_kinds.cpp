@@ -25,8 +25,9 @@ int main() {
   std::array<uint64_t, NumRegionKinds> Weighted = {};
   uint32_t Structured = 0;
   for (const auto &C : Corpus) {
-    ProgramStructureTree T = ProgramStructureTree::build(C.Fn.Graph);
-    PstStats S = computePstStats(C.Fn.Graph, T);
+    FrozenCfg V(C.Fn.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
+    PstStats S = computePstStats(V, T);
     for (size_t K = 0; K < NumRegionKinds; ++K)
       Weighted[K] += S.WeightedKind[K];
     Structured += S.FullyStructured;

@@ -36,9 +36,10 @@ int main() {
 
   for (const auto &C : Corpus) {
     LoweredFunction F = expandToStatementLevel(C.Fn);
-    ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
-    DomTree DT = DomTree::buildIterative(F.Graph);
-    DominanceFrontiers DF(F.Graph, DT);
+    FrozenCfg V(F.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
+    DomTree DT = DomTree::buildIterative(V);
+    DominanceFrontiers DF(V, DT);
 
     // The paper-style "x + y" instances: simple binary expressions over
     // variables, a handful per procedure to bound runtime.
@@ -54,8 +55,8 @@ int main() {
     size_t Step = std::max<size_t>(1, Keys.size() / 6);
     for (size_t I = 0; I < Keys.size(); I += Step) {
       BitVectorProblem P = makeSingleExprAvailability(F, Keys[I]);
-      Qpg Q = buildQpg(F.Graph, T, P);
-      Seg S = buildSeg(F.Graph, DT, DF, P);
+      Qpg Q = buildQpg(V, T, P);
+      Seg S = buildSeg(V, DT, DF, P);
       double QpgRatio = static_cast<double>(Q.numNodes()) /
                         static_cast<double>(F.Graph.numNodes());
       double SegRatio = static_cast<double>(S.numNodes()) /

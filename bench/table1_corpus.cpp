@@ -28,8 +28,9 @@ int main() {
   uint64_t TotalRegions = 0;
   for (const auto &C : Corpus) {
     GenStmts[C.Program] += C.Fn.NumStatements;
-    ProgramStructureTree T = ProgramStructureTree::build(C.Fn.Graph);
-    PstStats S = computePstStats(C.Fn.Graph, T);
+    FrozenCfg V(C.Fn.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
+    PstStats S = computePstStats(V, T);
     TotalRegions += S.NumRegions;
     if (S.FullyStructured) {
       ++StructuredPerProgram[C.Program];

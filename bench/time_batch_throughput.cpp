@@ -3,10 +3,8 @@
 // Measures the parallel batch analysis engine: corpus throughput
 // (functions/sec) at 1, 2, 4 and hardware-concurrency threads, on the
 // paper corpus and on a 10k-function generated corpus, plus the
-// steady-state heap-allocation count per analysis for the legacy
-// (allocate-per-call) path vs the scratch-reusing path, plus a
-// single-thread comparison of the warm Cfg pipeline against the shared
-// frozen-CSR CfgView pipeline (throughput and allocations per build).
+// single-thread pipeline (analyzeFunction on one warm scratch):
+// throughput and steady-state heap allocations per analysis.
 //
 // Emits a human-readable table on stdout and machine-readable
 // BENCH_batch.json + BENCH_pipeline.json in the working directory.
@@ -179,65 +177,22 @@ CorpusReport sweepThreads(const std::string &Name,
   return Report;
 }
 
-struct AllocReport {
-  double LegacyPerBuild = 0;
-  double ScratchPerBuild = 0;
-};
-
-/// Allocations per full analysis (PST + control regions) of one function,
-/// legacy path vs warm-scratch path, averaged over the corpus.
-AllocReport measureAllocations(std::span<const Cfg *const> Fns) {
-  AllocReport Report;
-  const size_t Repeats = 5;
-
-  // Legacy: every call builds its working memory from scratch.
-  uint64_t Before = GAllocs.load();
-  for (size_t Round = 0; Round < Repeats; ++Round)
-    for (const Cfg *G : Fns) {
-      ProgramStructureTree T = ProgramStructureTree::build(*G);
-      ControlRegionsResult C = computeControlRegionsLinearImplicit(*G);
-      (void)T;
-      (void)C;
-    }
-  Report.LegacyPerBuild = static_cast<double>(GAllocs.load() - Before) /
-                          (Repeats * Fns.size());
-
-  // Scratch path: one warm-up pass, then count steady-state rounds.
-  PstScratch Scratch;
-  for (const Cfg *G : Fns)
-    (void)analyzeFunction(*G, Scratch);
-  Before = GAllocs.load();
-  for (size_t Round = 0; Round < Repeats; ++Round)
-    for (const Cfg *G : Fns)
-      (void)analyzeFunction(*G, Scratch);
-  Report.ScratchPerBuild = static_cast<double>(GAllocs.load() - Before) /
-                           (Repeats * Fns.size());
-  return Report;
-}
-
-//===----------------------------------------------------------------------===//
-// Single-thread pipeline comparison: the warm per-stage Cfg path vs the
-// shared frozen-CSR CfgView path (what analyzeFunction runs). Both reuse
-// caller-owned scratch; the difference is the adjacency representation
-// every stage consumes.
-//===----------------------------------------------------------------------===//
-
-struct PathMetrics {
+struct PipelineReport {
+  size_t Functions = 0;
   double FnsPerSec = 0;
   double AllocsPerBuild = 0;
 };
 
-struct PipelineReport {
-  size_t Functions = 0;
-  bool Identical = false;
-  PathMetrics CfgPath;
-  PathMetrics ViewPath;
-};
+/// Times the single-thread pipeline (analyzeFunction on one warm scratch)
+/// over the corpus, counting heap allocations over the same window the
+/// throughput is measured in.
+PipelineReport measurePipeline(std::span<const Cfg *const> Fns) {
+  PipelineReport R;
+  R.Functions = Fns.size();
+  PstScratch Scratch;
+  for (const Cfg *G : Fns) // Warm-up: grows the scratch to steady state.
+    (void)analyzeFunction(*G, Scratch);
 
-/// Times one warm pipeline variant over the corpus, counting allocations
-/// over the same window the throughput is measured in.
-template <class RunOne>
-PathMetrics timePath(std::span<const Cfg *const> Fns, RunOne &&Run) {
   const double MinSeconds = 0.5;
   size_t Rounds = 0;
   uint64_t AllocsBefore = GAllocs.load();
@@ -245,91 +200,29 @@ PathMetrics timePath(std::span<const Cfg *const> Fns, RunOne &&Run) {
   double Elapsed = 0;
   do {
     for (const Cfg *G : Fns)
-      Run(*G);
+      (void)analyzeFunction(*G, Scratch);
     ++Rounds;
     Elapsed = secondsSince(Start);
   } while (Elapsed < MinSeconds);
-  PathMetrics M;
-  M.FnsPerSec = static_cast<double>(Fns.size()) * Rounds / Elapsed;
-  M.AllocsPerBuild = static_cast<double>(GAllocs.load() - AllocsBefore) /
+  R.FnsPerSec = static_cast<double>(Fns.size()) * Rounds / Elapsed;
+  R.AllocsPerBuild = static_cast<double>(GAllocs.load() - AllocsBefore) /
                      (Rounds * Fns.size());
-  return M;
-}
-
-PipelineReport measurePipeline(std::span<const Cfg *const> Fns) {
-  PipelineReport R;
-  R.Functions = Fns.size();
-
-  PstBuildScratch PB;
-  ControlRegionsScratch CR;
-  PstScratch VS;
-
-  // Warm-up doubles as the byte-identity cross-check: both paths must
-  // produce the same PST and the same control-region numbering.
-  std::vector<FunctionAnalysis> CfgOut, ViewOut;
-  CfgOut.reserve(Fns.size());
-  ViewOut.reserve(Fns.size());
-  for (const Cfg *G : Fns) {
-    FunctionAnalysis A;
-    A.Pst = ProgramStructureTree::build(*G, PB);
-    A.ControlRegions = computeControlRegionsLinearImplicit(*G, CR);
-    CfgOut.push_back(std::move(A));
-    ViewOut.push_back(analyzeFunction(*G, VS));
-  }
-  R.Identical = checksum(CfgOut) == checksum(ViewOut);
-  if (!R.Identical) {
-    std::cerr << "FATAL: CfgView pipeline diverged from the Cfg pipeline\n";
-    std::exit(1);
-  }
-
-  R.CfgPath = timePath(Fns, [&](const Cfg &G) {
-    ProgramStructureTree T = ProgramStructureTree::build(G, PB);
-    ControlRegionsResult C = computeControlRegionsLinearImplicit(G, CR);
-    (void)T;
-    (void)C;
-  });
-  R.ViewPath =
-      timePath(Fns, [&](const Cfg &G) { (void)analyzeFunction(G, VS); });
   return R;
 }
-
-/// Pre-CfgView (PR 4) numbers on the same paper corpus, pinned from that
-/// PR's BENCH_batch.json on this machine: the trajectory target is
-/// >= 1.25x single-thread throughput and <= 24 allocations/build against
-/// these, so the report carries them for machine-readable comparison.
-constexpr double Pr4BaselineFnsPerSec = 54971.1;
-constexpr double Pr4BaselineScratchAllocs = 64.65;
 
 void writePipelineJson(const std::string &Path, const PipelineReport &R) {
   std::ofstream OS(Path);
   OS << "{\n";
-  pstbench::writeSchemaPreamble(OS, "pipeline", "paper",
-                                R.ViewPath.FnsPerSec);
+  pstbench::writeSchemaPreamble(OS, "pipeline", "paper", R.FnsPerSec);
   OS << "  \"functions\": " << R.Functions << ",\n";
-  OS << "  \"identical_results\": " << (R.Identical ? "true" : "false")
-     << ",\n";
-  OS << "  \"single_thread\": {\n";
-  OS << "    \"cfg_path\": {\"functions_per_sec\": " << R.CfgPath.FnsPerSec
-     << ", \"allocations_per_build\": " << R.CfgPath.AllocsPerBuild << "},\n";
-  OS << "    \"cfgview_path\": {\"functions_per_sec\": " << R.ViewPath.FnsPerSec
-     << ", \"allocations_per_build\": " << R.ViewPath.AllocsPerBuild << "},\n";
-  OS << "    \"speedup\": "
-     << (R.CfgPath.FnsPerSec > 0 ? R.ViewPath.FnsPerSec / R.CfgPath.FnsPerSec
-                                 : 0)
-     << "\n";
-  OS << "  },\n";
-  OS << "  \"pre_cfgview_baseline\": {\n";
-  OS << "    \"functions_per_sec\": " << Pr4BaselineFnsPerSec << ",\n";
-  OS << "    \"allocations_per_build\": " << Pr4BaselineScratchAllocs << ",\n";
-  OS << "    \"speedup_vs_baseline\": "
-     << R.ViewPath.FnsPerSec / Pr4BaselineFnsPerSec << "\n";
-  OS << "  }\n";
+  OS << "  \"single_thread\": {\"functions_per_sec\": " << R.FnsPerSec
+     << ", \"allocations_per_build\": " << R.AllocsPerBuild << "}\n";
   OS << "}\n";
 }
 
 void writeJson(const std::string &Path, unsigned HwThreads,
                const std::vector<CorpusReport> &Corpora,
-               const AllocReport &Allocs) {
+               const PipelineReport &Pipeline) {
   (void)HwThreads; // Part of the shared schema preamble now.
   // Headline throughput: the paper corpus's best sweep result.
   double BestFnsPerSec = 0;
@@ -357,15 +250,7 @@ void writeJson(const std::string &Path, unsigned HwThreads,
     OS << "    }" << (I + 1 < Corpora.size() ? "," : "") << "\n";
   }
   OS << "  ],\n";
-  OS << "  \"allocations_per_build\": {\n";
-  OS << "    \"legacy\": " << Allocs.LegacyPerBuild << ",\n";
-  OS << "    \"scratch\": " << Allocs.ScratchPerBuild << ",\n";
-  OS << "    \"reduction\": "
-     << (Allocs.ScratchPerBuild > 0
-             ? Allocs.LegacyPerBuild / Allocs.ScratchPerBuild
-             : 0)
-     << "\n";
-  OS << "  }\n";
+  OS << "  \"allocations_per_build\": " << Pipeline.AllocsPerBuild << "\n";
   OS << "}\n";
 }
 
@@ -425,29 +310,13 @@ int main(int argc, char **argv) {
   Corpora.push_back(sweepThreads(
       "gen10k", std::span<const Cfg *const>(GenPtrs), ThreadCounts));
 
-  std::cout << "\n=== Steady-state heap allocations per analysis ===\n";
-  AllocReport Allocs =
-      measureAllocations(std::span<const Cfg *const>(PaperPtrs));
-  std::printf("  legacy path : %8.1f allocations/build\n", Allocs.LegacyPerBuild);
-  std::printf("  scratch path: %8.1f allocations/build (%.1fx fewer)\n",
-              Allocs.ScratchPerBuild,
-              Allocs.ScratchPerBuild > 0
-                  ? Allocs.LegacyPerBuild / Allocs.ScratchPerBuild
-                  : 0.0);
-
-  std::cout << "\n=== Single-thread pipeline: Cfg path vs shared CfgView ===\n";
+  std::cout << "\n=== Single-thread pipeline (warm scratch) ===\n";
   PipelineReport Pipeline =
       measurePipeline(std::span<const Cfg *const>(PaperPtrs));
-  std::printf("  cfg path    : %10.0f fns/sec  %8.1f allocations/build\n",
-              Pipeline.CfgPath.FnsPerSec, Pipeline.CfgPath.AllocsPerBuild);
-  std::printf("  cfgview path: %10.0f fns/sec  %8.1f allocations/build "
-              "(%.2fx faster, results identical)\n",
-              Pipeline.ViewPath.FnsPerSec, Pipeline.ViewPath.AllocsPerBuild,
-              Pipeline.CfgPath.FnsPerSec > 0
-                  ? Pipeline.ViewPath.FnsPerSec / Pipeline.CfgPath.FnsPerSec
-                  : 0.0);
+  std::printf("  paper       : %10.0f fns/sec  %8.1f allocations/build\n",
+              Pipeline.FnsPerSec, Pipeline.AllocsPerBuild);
 
-  writeJson("BENCH_batch.json", Hw, Corpora, Allocs);
+  writeJson("BENCH_batch.json", Hw, Corpora, Pipeline);
   writePipelineJson("BENCH_pipeline.json", Pipeline);
   std::cout << "\nwrote BENCH_batch.json and BENCH_pipeline.json\n";
 

@@ -40,7 +40,7 @@ Cfg makeBranchy(uint32_t Nodes, uint64_t Seed) {
 Cfg makeAdversarial(uint32_t Depth) { return nestedRepeatUntilCfg(Depth); }
 
 void BM_ControlRegionsLinear(benchmark::State &State) {
-  Cfg G = makeBranchy(static_cast<uint32_t>(State.range(0)), 11);
+  FrozenCfg G(makeBranchy(static_cast<uint32_t>(State.range(0)), 11));
   for (auto _ : State) {
     ControlRegionsResult R = computeControlRegionsLinear(G);
     benchmark::DoNotOptimize(R.NumClasses);
@@ -48,7 +48,7 @@ void BM_ControlRegionsLinear(benchmark::State &State) {
 }
 
 void BM_ControlRegionsImplicit(benchmark::State &State) {
-  Cfg G = makeBranchy(static_cast<uint32_t>(State.range(0)), 11);
+  FrozenCfg G(makeBranchy(static_cast<uint32_t>(State.range(0)), 11));
   for (auto _ : State) {
     ControlRegionsResult R = computeControlRegionsLinearImplicit(G);
     benchmark::DoNotOptimize(R.NumClasses);
@@ -56,7 +56,7 @@ void BM_ControlRegionsImplicit(benchmark::State &State) {
 }
 
 void BM_PostDomOnly(benchmark::State &State) {
-  Cfg G = makeBranchy(static_cast<uint32_t>(State.range(0)), 11);
+  FrozenCfg G(makeBranchy(static_cast<uint32_t>(State.range(0)), 11));
   for (auto _ : State) {
     DomTree T = DomTree::buildPostDom(G);
     benchmark::DoNotOptimize(T.numNodes());
@@ -64,7 +64,7 @@ void BM_PostDomOnly(benchmark::State &State) {
 }
 
 void BM_ControlRegionsFOW(benchmark::State &State) {
-  Cfg G = makeBranchy(static_cast<uint32_t>(State.range(0)), 11);
+  FrozenCfg G(makeBranchy(static_cast<uint32_t>(State.range(0)), 11));
   for (auto _ : State) {
     ControlRegionsResult R = computeControlRegionsFOW(G);
     benchmark::DoNotOptimize(R.NumClasses);
@@ -72,7 +72,7 @@ void BM_ControlRegionsFOW(benchmark::State &State) {
 }
 
 void BM_ControlRegionsRefinement(benchmark::State &State) {
-  Cfg G = makeBranchy(static_cast<uint32_t>(State.range(0)), 11);
+  FrozenCfg G(makeBranchy(static_cast<uint32_t>(State.range(0)), 11));
   for (auto _ : State) {
     ControlRegionsResult R = computeControlRegionsRefinement(G);
     benchmark::DoNotOptimize(R.NumClasses);
@@ -80,7 +80,7 @@ void BM_ControlRegionsRefinement(benchmark::State &State) {
 }
 
 void BM_LinearAdversarial(benchmark::State &State) {
-  Cfg G = makeAdversarial(static_cast<uint32_t>(State.range(0)));
+  FrozenCfg G(makeAdversarial(static_cast<uint32_t>(State.range(0))));
   for (auto _ : State) {
     ControlRegionsResult R = computeControlRegionsLinear(G);
     benchmark::DoNotOptimize(R.NumClasses);
@@ -88,7 +88,7 @@ void BM_LinearAdversarial(benchmark::State &State) {
 }
 
 void BM_FOWAdversarial(benchmark::State &State) {
-  Cfg G = makeAdversarial(static_cast<uint32_t>(State.range(0)));
+  FrozenCfg G(makeAdversarial(static_cast<uint32_t>(State.range(0))));
   for (auto _ : State) {
     ControlRegionsResult R = computeControlRegionsFOW(G);
     benchmark::DoNotOptimize(R.NumClasses);

@@ -223,7 +223,8 @@ CorpusReport benchCorpus(const std::string &Name,
     // invalidate every number above.
     R.Identical = true;
     for (uint64_t I = 0; I < Img.numFunctions(); ++I) {
-      ProgramStructureTree Fresh = ProgramStructureTree::build(*Fns[I]);
+      ProgramStructureTree Fresh =
+          ProgramStructureTree::build(FrozenCfg(*Fns[I]));
       if (fingerprint(Fresh) != fingerprint(Img.pst(I))) {
         R.Identical = false;
         break;

@@ -32,34 +32,34 @@ Cfg makeGraph(uint32_t Nodes, uint64_t Seed) {
 }
 
 void BM_CycleEquiv(benchmark::State &State) {
-  Cfg G = makeGraph(static_cast<uint32_t>(State.range(0)), 7);
+  FrozenCfg G(makeGraph(static_cast<uint32_t>(State.range(0)), 7));
   for (auto _ : State) {
     CycleEquivResult R = computeCycleEquivalence(G);
     benchmark::DoNotOptimize(R.NumClasses);
   }
-  State.SetItemsProcessed(State.iterations() * G.numEdges());
+  State.SetItemsProcessed(State.iterations() * G.view().numEdges());
 }
 
 void BM_DomLengauerTarjan(benchmark::State &State) {
-  Cfg G = makeGraph(static_cast<uint32_t>(State.range(0)), 7);
+  FrozenCfg G(makeGraph(static_cast<uint32_t>(State.range(0)), 7));
   for (auto _ : State) {
     DomTree T = DomTree::buildLengauerTarjan(G);
     benchmark::DoNotOptimize(T.numNodes());
   }
-  State.SetItemsProcessed(State.iterations() * G.numEdges());
+  State.SetItemsProcessed(State.iterations() * G.view().numEdges());
 }
 
 void BM_DomIterative(benchmark::State &State) {
-  Cfg G = makeGraph(static_cast<uint32_t>(State.range(0)), 7);
+  FrozenCfg G(makeGraph(static_cast<uint32_t>(State.range(0)), 7));
   for (auto _ : State) {
     DomTree T = DomTree::buildIterative(G);
     benchmark::DoNotOptimize(T.numNodes());
   }
-  State.SetItemsProcessed(State.iterations() * G.numEdges());
+  State.SetItemsProcessed(State.iterations() * G.view().numEdges());
 }
 
 void BM_CycleEquivNestedLoops(benchmark::State &State) {
-  Cfg G = nestedWhileCfg(static_cast<uint32_t>(State.range(0)), 4);
+  FrozenCfg G(nestedWhileCfg(static_cast<uint32_t>(State.range(0)), 4));
   for (auto _ : State) {
     CycleEquivResult R = computeCycleEquivalence(G);
     benchmark::DoNotOptimize(R.NumClasses);
@@ -67,7 +67,7 @@ void BM_CycleEquivNestedLoops(benchmark::State &State) {
 }
 
 void BM_DomLTNestedLoops(benchmark::State &State) {
-  Cfg G = nestedWhileCfg(static_cast<uint32_t>(State.range(0)), 4);
+  FrozenCfg G(nestedWhileCfg(static_cast<uint32_t>(State.range(0)), 4));
   for (auto _ : State) {
     DomTree T = DomTree::buildLengauerTarjan(G);
     benchmark::DoNotOptimize(T.numNodes());

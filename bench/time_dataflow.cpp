@@ -32,32 +32,35 @@ LoweredFunction generated(uint64_t Seed, uint32_t Stmts) {
 
 void BM_IterativeSingleExpr(benchmark::State &State) {
   LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  FrozenCfg V(F.Graph);
   auto Keys = expressionKeys(F);
   BitVectorProblem P = makeSingleExprAvailability(F, Keys.front());
   for (auto _ : State) {
-    DataflowSolution S = solveIterative(F.Graph, P);
+    DataflowSolution S = solveIterative(V, P);
     benchmark::DoNotOptimize(S.Out.size());
   }
 }
 
 void BM_QpgSingleExpr(benchmark::State &State) {
   LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  FrozenCfg V(F.Graph);
   auto Keys = expressionKeys(F);
   BitVectorProblem P = makeSingleExprAvailability(F, Keys.front());
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   for (auto _ : State) {
-    EdgeSolution S = solveOnQpg(F.Graph, T, P);
+    EdgeSolution S = solveOnQpg(V, T, P);
     benchmark::DoNotOptimize(S.EdgeValue.size());
   }
 }
 
 void BM_QpgBuildOnly(benchmark::State &State) {
   LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  FrozenCfg V(F.Graph);
   auto Keys = expressionKeys(F);
   BitVectorProblem P = makeSingleExprAvailability(F, Keys.front());
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   for (auto _ : State) {
-    Qpg Q = buildQpg(F.Graph, T, P);
+    Qpg Q = buildQpg(V, T, P);
     benchmark::DoNotOptimize(Q.numNodes());
   }
 }
@@ -66,51 +69,56 @@ void BM_QpgBuildOnly(benchmark::State &State) {
 // frontiers, making them costlier per instance than the PST-backed QPG.
 void BM_SegBuildOnly(benchmark::State &State) {
   LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  FrozenCfg V(F.Graph);
   auto Keys = expressionKeys(F);
   BitVectorProblem P = makeSingleExprAvailability(F, Keys.front());
-  DomTree DT = DomTree::buildIterative(F.Graph);
-  DominanceFrontiers DF(F.Graph, DT);
+  DomTree DT = DomTree::buildIterative(V);
+  DominanceFrontiers DF(V, DT);
   for (auto _ : State) {
-    Seg S = buildSeg(F.Graph, DT, DF, P);
+    Seg S = buildSeg(V, DT, DF, P);
     benchmark::DoNotOptimize(S.numNodes());
   }
 }
 
 void BM_SegBuildWithFrontiers(benchmark::State &State) {
   LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  FrozenCfg V(F.Graph);
   auto Keys = expressionKeys(F);
   BitVectorProblem P = makeSingleExprAvailability(F, Keys.front());
   for (auto _ : State) {
-    DomTree DT = DomTree::buildIterative(F.Graph);
-    DominanceFrontiers DF(F.Graph, DT);
-    Seg S = buildSeg(F.Graph, DT, DF, P);
+    DomTree DT = DomTree::buildIterative(V);
+    DominanceFrontiers DF(V, DT);
+    Seg S = buildSeg(V, DT, DF, P);
     benchmark::DoNotOptimize(S.numNodes());
   }
 }
 
 void BM_IterativeReachingDefs(benchmark::State &State) {
   LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  FrozenCfg V(F.Graph);
   BitVectorProblem P = makeReachingDefs(F);
   for (auto _ : State) {
-    DataflowSolution S = solveIterative(F.Graph, P);
+    DataflowSolution S = solveIterative(V, P);
     benchmark::DoNotOptimize(S.Out.size());
   }
 }
 
 void BM_EliminationReachingDefs(benchmark::State &State) {
   LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  FrozenCfg V(F.Graph);
   BitVectorProblem P = makeReachingDefs(F);
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   for (auto _ : State) {
-    DataflowSolution S = solveElimination(F.Graph, T, P);
+    DataflowSolution S = solveElimination(V, T, P);
     benchmark::DoNotOptimize(S.Out.size());
   }
 }
 
 void BM_PstBuildGenerated(benchmark::State &State) {
   LoweredFunction F = generated(5, static_cast<uint32_t>(State.range(0)));
+  FrozenCfg V(F.Graph);
   for (auto _ : State) {
-    ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
     benchmark::DoNotOptimize(T.numRegions());
   }
 }

@@ -93,9 +93,11 @@ void fromScratchLoop(benchmark::State &State, Cfg G) {
   uint64_t Regions = 0;
   for (auto _ : State) {
     EdgeId E = DG.insertEdge(Site.Src, Site.Dst);
-    ProgramStructureTree T1 = ProgramStructureTree::build(DG.materialize());
+    ProgramStructureTree T1 =
+        ProgramStructureTree::build(FrozenCfg(DG.materialize()));
     DG.deleteEdgeUnchecked(E);
-    ProgramStructureTree T2 = ProgramStructureTree::build(DG.materialize());
+    ProgramStructureTree T2 =
+        ProgramStructureTree::build(FrozenCfg(DG.materialize()));
     Regions += T1.numRegions() + T2.numRegions();
   }
   benchmark::DoNotOptimize(Regions);

@@ -102,7 +102,8 @@ std::vector<CorpusItem> buildCorpus(size_t Count) {
     auto Lowered = lowerFunction(Fn);
     if (!Lowered)
       continue;
-    ProgramStructureTree T = ProgramStructureTree::build(Lowered->Graph);
+    ProgramStructureTree T =
+        ProgramStructureTree::build(FrozenCfg(Lowered->Graph));
     CorpusItem Item{std::move(*Lowered), std::move(T), {}};
     for (uint64_t Run = 0; Run < 8; ++Run) {
       std::vector<int64_t> Args(Opts.NumParams);
@@ -170,7 +171,7 @@ int main() {
     return 1;
   }
   const LoweredFunction &Hot = (*Fns)[0];
-  ProgramStructureTree HotT = ProgramStructureTree::build(Hot.Graph);
+  ProgramStructureTree HotT = ProgramStructureTree::build(FrozenCfg(Hot.Graph));
 
   std::cout << "=== Interpreter edge-counting overhead (hotloop 64x64) ===\n";
   uint64_t StepsPerRun = 0;

@@ -57,8 +57,9 @@ LoweredFunction generated(uint64_t Seed, uint32_t Stmts) {
 void BM_ClassicNestedRepeatUntil(benchmark::State &State) {
   LoweredFunction F = syntheticFunction(
       nestedRepeatUntilCfg(static_cast<uint32_t>(State.range(0))));
+  FrozenCfg V(F.Graph);
   for (auto _ : State) {
-    PhiPlacement P = placePhisClassic(F);
+    PhiPlacement P = placePhisClassic(F, V);
     benchmark::DoNotOptimize(P.PhiBlocks.size());
   }
 }
@@ -66,15 +67,16 @@ void BM_ClassicNestedRepeatUntil(benchmark::State &State) {
 void BM_PstNestedRepeatUntil(benchmark::State &State) {
   LoweredFunction F = syntheticFunction(
       nestedRepeatUntilCfg(static_cast<uint32_t>(State.range(0))));
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  FrozenCfg V(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   for (auto _ : State) {
-    PhiPlacement P = placePhisPst(F, T);
+    PhiPlacement P = placePhisPst(F, V, T);
     benchmark::DoNotOptimize(P.PhiBlocks.size());
   }
 }
 
 void BM_PstBuildNestedRepeatUntil(benchmark::State &State) {
-  Cfg G = nestedRepeatUntilCfg(static_cast<uint32_t>(State.range(0)));
+  FrozenCfg G(nestedRepeatUntilCfg(static_cast<uint32_t>(State.range(0))));
   for (auto _ : State) {
     ProgramStructureTree T = ProgramStructureTree::build(G);
     benchmark::DoNotOptimize(T.numRegions());
@@ -83,17 +85,19 @@ void BM_PstBuildNestedRepeatUntil(benchmark::State &State) {
 
 void BM_ClassicGenerated(benchmark::State &State) {
   LoweredFunction F = generated(3, static_cast<uint32_t>(State.range(0)));
+  FrozenCfg V(F.Graph);
   for (auto _ : State) {
-    PhiPlacement P = placePhisClassic(F);
+    PhiPlacement P = placePhisClassic(F, V);
     benchmark::DoNotOptimize(P.PhiBlocks.size());
   }
 }
 
 void BM_PstGenerated(benchmark::State &State) {
   LoweredFunction F = generated(3, static_cast<uint32_t>(State.range(0)));
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  FrozenCfg V(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   for (auto _ : State) {
-    PhiPlacement P = placePhisPst(F, T);
+    PhiPlacement P = placePhisPst(F, V, T);
     benchmark::DoNotOptimize(P.PhiBlocks.size());
   }
 }

@@ -101,14 +101,15 @@ void analyzeCfg(const std::string &Name, const Cfg &G, const Options &Opt,
   std::cout << "\n======== " << Name << " (" << G.numNodes() << " nodes, "
             << G.numEdges() << " edges) ========\n";
 
+  FrozenCfg V(G);
   ProgramStructureTree T =
-      MappedPst ? *MappedPst : ProgramStructureTree::build(G);
+      MappedPst ? *MappedPst : ProgramStructureTree::build(V);
   if (Opt.Pst) {
     std::cout << "\n-- program structure tree --\n"
               << formatPst(G, T);
   }
   if (Opt.Regions) {
-    ControlRegionsResult CR = computeControlRegionsLinear(G);
+    ControlRegionsResult CR = computeControlRegionsLinear(V);
     std::cout << "\n-- control regions (" << CR.NumClasses << ") --\n";
     for (uint32_t C = 0; C < CR.NumClasses; ++C) {
       std::cout << "  {";
@@ -122,8 +123,8 @@ void analyzeCfg(const std::string &Name, const Cfg &G, const Options &Opt,
     }
   }
   if (Opt.Dom) {
-    DomTree DT = DomTree::buildIterative(G);
-    DomTree DC = buildDominatorsViaPst(G, T);
+    DomTree DT = DomTree::buildIterative(V);
+    DomTree DC = buildDominatorsViaPst(V, T);
     std::cout << "\n-- dominator tree (idom per node) --\n";
     bool AllMatch = true;
     for (NodeId N = 0; N < G.numNodes(); ++N) {
@@ -137,8 +138,8 @@ void analyzeCfg(const std::string &Name, const Cfg &G, const Options &Opt,
               << (AllMatch ? "matches" : "MISMATCHES") << "]\n";
   }
   if (Opt.Loops) {
-    DomTree DT = DomTree::buildIterative(G);
-    LoopInfo LI(G, DT);
+    DomTree DT = DomTree::buildIterative(V);
+    LoopInfo LI(V, DT);
     std::cout << "\n-- natural loops (" << LI.numLoops() << ") --\n";
     for (LoopId L = 0; L < LI.numLoops(); ++L) {
       const auto &Loop = LI.loop(L);
@@ -153,7 +154,7 @@ void analyzeCfg(const std::string &Name, const Cfg &G, const Options &Opt,
                 << " irreducible retreating edge(s)\n";
   }
   if (Opt.Intervals) {
-    IntervalPartition P = computeIntervals(G);
+    IntervalPartition P = computeIntervals(V);
     std::cout << "\n-- intervals (" << P.Intervals.size() << ") --\n";
     for (const auto &I : P.Intervals) {
       std::cout << "  I(" << G.nodeName(I.Header) << ") = {";

@@ -46,8 +46,10 @@ int main() {
     return 1;
   }
 
-  // The PST: canonical single-entry single-exit regions, nested.
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  // Analyses read a frozen, flat-array view of the graph; FrozenCfg owns
+  // one. The PST: canonical single-entry single-exit regions, nested.
+  FrozenCfg V(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   std::cout << "The CFG has " << T.numCanonicalRegions()
             << " canonical SESE regions:\n\n";
   std::cout << formatPst(G, T) << "\n";
@@ -65,7 +67,7 @@ int main() {
   std::cout << "\nRegion kinds:\n";
   for (RegionId R = 1; R < T.numRegions(); ++R)
     std::cout << "  region " << R << ": "
-              << regionKindName(classifyRegion(G, T, R)) << "\n";
+              << regionKindName(classifyRegion(V, T, R)) << "\n";
 
   // Dump Graphviz for visual inspection.
   std::cout << "\nGraphviz of the CFG:\n";

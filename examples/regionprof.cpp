@@ -196,7 +196,7 @@ int main(int Argc, char **Argv) {
       continue;
     AnyProfiled = true;
 
-    ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(F.Graph));
     RegionProfile P(F, T);
 
     std::vector<std::vector<int64_t>> Workload = Opt.Workload;

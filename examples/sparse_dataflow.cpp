@@ -43,7 +43,8 @@ int main() {
     return 1;
   }
   const LoweredFunction &F = (*Fns)[0];
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  FrozenCfg V(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
 
   std::cout << "Expressions in '" << F.Name << "':\n";
   for (const std::string &K : expressionKeys(F))
@@ -53,7 +54,7 @@ int main() {
   BitVectorProblem P = makeSingleExprAvailability(F, Key);
 
   Qpg Q;
-  EdgeSolution Sparse = solveOnQpg(F.Graph, T, P, &Q);
+  EdgeSolution Sparse = solveOnQpg(V, T, P, &Q);
   std::cout << "\nTracking availability of \"" << Key << "\":\n";
   std::cout << "  CFG: " << F.Graph.numNodes() << " nodes, "
             << F.Graph.numEdges() << " edges\n";
@@ -74,7 +75,7 @@ int main() {
   }
 
   // Cross-check against the dense solution.
-  EdgeSolution Dense = edgeView(F.Graph, solveIterative(F.Graph, P));
+  EdgeSolution Dense = edgeView(V, solveIterative(V, P));
   uint32_t Mismatches = 0;
   for (EdgeId E = 0; E < F.Graph.numEdges(); ++E)
     Mismatches += !(Sparse.EdgeValue[E] == Dense.EdgeValue[E]);

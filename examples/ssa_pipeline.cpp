@@ -43,10 +43,11 @@ int main() {
     return 1;
   }
   const LoweredFunction &F = (*Fns)[0];
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  FrozenCfg FV(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(FV);
 
-  PhiPlacement Classic = placePhisClassic(F);
-  PhiPlacement Sparse = placePhisPst(F, T);
+  PhiPlacement Classic = placePhisClassic(F, FV);
+  PhiPlacement Sparse = placePhisPst(F, FV, T);
 
   std::cout << "Phi placement per variable (Theorem 9: both strategies "
                "agree):\n\n";

@@ -72,10 +72,11 @@ int main(int Argc, char **Argv) {
     std::cout << "\n================ " << F.Name << " ================\n\n";
     std::cout << formatLowered(F) << "\n";
 
-    ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+    FrozenCfg V(F.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
     std::cout << "Program structure tree:\n" << formatPst(F.Graph, T);
 
-    PstStats S = computePstStats(F.Graph, T);
+    PstStats S = computePstStats(V, T);
     std::cout << "\nStructure metrics: " << S.NumRegions << " regions, max "
               << "depth " << S.MaxDepth << ", average depth "
               << TableWriter::fmt(S.AvgDepth, 2) << ", max region size "
@@ -84,7 +85,7 @@ int main(int Argc, char **Argv) {
                                     : "contains unstructured regions")
               << "\n";
 
-    ControlRegionsResult CR = computeControlRegionsLinear(F.Graph);
+    ControlRegionsResult CR = computeControlRegionsLinear(V);
     std::cout << "\nControl regions (nodes that execute under identical "
                  "control conditions):\n";
     for (uint32_t C = 0; C < CR.NumClasses; ++C) {

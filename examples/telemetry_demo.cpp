@@ -33,7 +33,7 @@ int main() {
   // the main thread, so their spans nest on thread track 0.
   for (uint32_t Rungs : {4u, 16u, 64u}) {
     Cfg G = diamondLadderCfg(Rungs);
-    ProgramStructureTree T = ProgramStructureTree::build(G);
+    ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
     std::cout << "diamond ladder rungs=" << Rungs << " -> " << T.numRegions()
               << " regions\n";
   }

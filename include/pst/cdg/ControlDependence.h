@@ -28,7 +28,6 @@
 #define PST_CDG_CONTROLDEPENDENCE_H
 
 #include "pst/dom/Dominators.h"
-#include "pst/graph/Cfg.h"
 
 #include <vector>
 
@@ -38,7 +37,7 @@ namespace pst {
 class ControlDependence {
 public:
   /// Computes the full relation. O(N * E) worst case.
-  explicit ControlDependence(const Cfg &G);
+  explicit ControlDependence(const CfgView &V);
 
   /// Edges node \p N is control dependent on, sorted ascending.
   const std::vector<EdgeId> &dependences(NodeId N) const {

@@ -57,52 +57,44 @@ struct ControlRegionsResult {
 /// n_i (id 2n) and n_o (id 2n+1) joined by the representative edge
 /// n_i -> n_o, which receives EdgeId n; every edge (u, v) of \p G becomes
 /// u_o -> v_i (appended after the representative edges). Entry/exit map to
-/// entry_i / exit_o.
+/// entry_i / exit_o. Labels are derived from \p G's ("n_i", "n_o").
 Cfg nodeExpand(const Cfg &G);
 
-/// The paper's linear-time algorithm (Theorems 7 + 8). O(N + E).
-/// Materializes T(S) explicitly as a Cfg.
-ControlRegionsResult computeControlRegionsLinear(const Cfg &G);
-
-/// Same algorithm and result, but T(S) is never materialized: the cycle
-/// equivalence solver runs directly over synthesized edge endpoints. This
-/// is the paper's implementation note ("we avoid explicitly expanding
-/// nodes and undirecting edges... the savings in space and time ... are
-/// significant"); bench/time_control_regions compares both.
-ControlRegionsResult computeControlRegionsLinearImplicit(const Cfg &G);
+/// The paper's linear-time algorithm (Theorems 7 + 8), in its textbook
+/// form: T(S) is materialized as a Cfg, frozen, and run through the
+/// Figure-4 solver. O(N + E). The ablation bench/time_control_regions
+/// compares against \c computeControlRegionsLinearImplicit.
+ControlRegionsResult computeControlRegionsLinear(const CfgView &V);
 
 /// Reusable working memory for \c computeControlRegionsLinearImplicit:
-/// the synthesized T(S) endpoint buffer, the Figure-4 solver scratch, and
-/// the pre-densification class array. Same reuse contract as
-/// \c CycleEquivScratch (unspecified contents between runs, deterministic
-/// results, single-thread use).
+/// the Figure-4 solver scratch and the pre-densification class array. Same
+/// reuse contract as \c CycleEquivScratch (unspecified contents between
+/// runs, deterministic results, single-thread use).
 struct ControlRegionsScratch {
-  UndirectedGraphView View;
   CycleEquivScratch Solver;
   std::vector<uint32_t> Remap;
 };
 
-/// As \c computeControlRegionsLinearImplicit, with caller-owned working
-/// memory; with the scratch warm only the returned partition allocates.
-ControlRegionsResult computeControlRegionsLinearImplicit(
-    const Cfg &G, ControlRegionsScratch &Scratch);
-
-/// CfgView twin of the scratch-backed implicit path: T(S) endpoints are
-/// synthesized arithmetically from the view and the solver's undirected
-/// adjacency is written straight from the shared CSR segments (see
-/// \c computeCycleEquivalenceTs) — no endpoint buffer, no counting pass.
-/// Byte-identical partitions to the \c Cfg overloads on a view of the same
-/// graph.
+/// Same algorithm and result, but T(S) is never materialized: the paper's
+/// implementation note ("we avoid explicitly expanding nodes and
+/// undirecting edges... the savings in space and time ... are
+/// significant"). T(S) endpoints are synthesized arithmetically from the
+/// view and the solver's undirected adjacency is written straight from the
+/// shared CSR segments (see \c computeCycleEquivalenceTs). With the scratch
+/// warm only the returned partition allocates.
 ControlRegionsResult computeControlRegionsLinearImplicit(
     const CfgView &V, ControlRegionsScratch &Scratch);
 
+/// As above with a local scratch (for one-shot callers).
+ControlRegionsResult computeControlRegionsLinearImplicit(const CfgView &V);
+
 /// FOW87-style baseline: group nodes by materialized control dependence
 /// sets. O(N * E) time and space in the worst case.
-ControlRegionsResult computeControlRegionsFOW(const Cfg &G);
+ControlRegionsResult computeControlRegionsFOW(const CfgView &V);
 
 /// CFS90-style baseline: iterative partition refinement, one pass per
 /// control dependence "direction". O(N * E) worst case, O(N + E) space.
-ControlRegionsResult computeControlRegionsRefinement(const Cfg &G);
+ControlRegionsResult computeControlRegionsRefinement(const CfgView &V);
 
 /// Brute-force node cycle equivalence in S = G + (end -> start), straight
 /// from Definition 4 (cycles through one node avoiding the other). Used by

@@ -28,7 +28,6 @@
 #define PST_CORE_PROGRAMSTRUCTURETREE_H
 
 #include "pst/cycleequiv/CycleEquiv.h"
-#include "pst/graph/Cfg.h"
 #include "pst/graph/CfgView.h"
 
 #include <span>
@@ -43,15 +42,15 @@ inline constexpr RegionId InvalidRegion = ~RegionId(0);
 
 /// Reusable working memory for PST construction.
 ///
-/// Owns the cycle-equivalence engine (endpoint buffer + solver scratch)
-/// and the builder's own transients: the edge-traversal clock, the two DFS
-/// walks' visited/stack arrays, and the CSR class->edges grouping. With
-/// the buffers warm, a build allocates only what the returned tree owns.
+/// Owns the cycle-equivalence solver scratch and the builder's own
+/// transients: the edge-traversal clock, the two DFS walks' visited/stack
+/// arrays, and the CSR class->edges grouping. With the buffers warm, a
+/// build allocates only what the returned tree owns.
 /// Same contract as \c CycleEquivScratch: contents between builds are
 /// unspecified, results are independent of prior use, and one scratch must
 /// not be shared by two threads at once.
 struct PstBuildScratch {
-  CycleEquivEngine CE;
+  CycleEquivScratch CE;
   std::vector<uint32_t> EdgeTime;
   std::vector<uint8_t> Visited;
   std::vector<std::pair<NodeId, uint32_t>> Stack;
@@ -105,35 +104,19 @@ public:
   ProgramStructureTree(ProgramStructureTree &&O) noexcept = default;
   ProgramStructureTree &operator=(ProgramStructureTree &&O) noexcept = default;
 
-  /// Builds the PST of \p G (which must satisfy \c validateCfg) in O(N + E).
-  static ProgramStructureTree build(const Cfg &G);
-
-  /// As \c build, with caller-owned working memory. Produces bit-identical
-  /// trees to the scratch-less overload; repeated builds through one warm
-  /// scratch perform no transient heap allocations. This is the serial
-  /// kernel the batch analyzer (pst/runtime) runs per worker thread.
-  static ProgramStructureTree build(const Cfg &G, PstBuildScratch &Scratch);
-
-  /// As \c build, over a frozen CSR view of the graph: cycle equivalence
-  /// consumes the shared adjacency directly and both construction DFS
-  /// walks iterate flat succ segments. Bit-identical trees to the \c Cfg
-  /// overloads on a view of the same graph.
+  /// Builds the PST of the CFG viewed by \p V (which must satisfy
+  /// \c validateCfg) in O(N + E). Cycle equivalence consumes the view's
+  /// adjacency directly and both construction DFS walks iterate its flat
+  /// succ segments. Repeated builds through one warm scratch perform no
+  /// transient heap allocations; this is the serial kernel the batch
+  /// analyzer (pst/runtime) runs per worker thread.
   static ProgramStructureTree build(const CfgView &V, PstBuildScratch &Scratch);
 
+  /// As above with a local scratch (for one-shot callers).
+  static ProgramStructureTree build(const CfgView &V);
+
   /// As \c build, but with the cycle-equivalence classes already computed
-  /// (\p CE must come from a return-edge run on \p G). This is the plumbing
-  /// that lets callers owning a re-entrant \c CycleEquivEngine (the
-  /// incremental PST rebuilds many sub-CFGs per commit) avoid the per-run
-  /// buffer allocation inside \c computeCycleEquivalence.
-  static ProgramStructureTree buildWithCycleEquiv(const Cfg &G,
-                                                  CycleEquivResult CE);
-
-  /// Scratch-backed twin of \c buildWithCycleEquiv.
-  static ProgramStructureTree buildWithCycleEquiv(const Cfg &G,
-                                                  CycleEquivResult CE,
-                                                  PstBuildScratch &Scratch);
-
-  /// CfgView twin of the scratch-backed \c buildWithCycleEquiv.
+  /// (\p CE must come from a return-edge run on \p V).
   static ProgramStructureTree buildWithCycleEquiv(const CfgView &V,
                                                   CycleEquivResult CE,
                                                   PstBuildScratch &Scratch);
@@ -221,12 +204,6 @@ public:
   bool isExternal() const { return External; }
 
 private:
-  // Shared construction kernel for the Cfg and CfgView overloads; defined
-  // (and only instantiated) in ProgramStructureTree.cpp.
-  template <class GraphT>
-  static ProgramStructureTree buildImpl(const GraphT &G, CycleEquivResult CE,
-                                        PstBuildScratch &S);
-
   /// Points every accessor span at the owned vectors. Called once when a
   /// build finishes and again whenever an owning tree is copied.
   void bindOwned();

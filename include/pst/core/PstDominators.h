@@ -32,14 +32,9 @@
 
 namespace pst {
 
-/// Builds the dominator tree of \p G by solving each PST region's
+/// Builds the dominator tree of \p V by solving each PST region's
 /// collapsed body independently and stitching the results. Produces
 /// exactly the tree of \c DomTree::buildIterative (tested).
-DomTree buildDominatorsViaPst(const Cfg &G, const ProgramStructureTree &T);
-
-/// CfgView twin: region bodies are collapsed straight off the shared CSR
-/// adjacency. Identical trees to the \c Cfg overload on a view of the same
-/// graph.
 DomTree buildDominatorsViaPst(const CfgView &V, const ProgramStructureTree &T);
 
 } // namespace pst

@@ -21,7 +21,6 @@
 #define PST_CORE_REGIONANALYSIS_H
 
 #include "pst/core/ProgramStructureTree.h"
-#include "pst/graph/Cfg.h"
 
 #include <string>
 #include <vector>
@@ -55,11 +54,6 @@ struct CollapsedBody {
 };
 
 /// Builds the collapsed body of \p R. O(size of the body).
-CollapsedBody collapseRegion(const Cfg &G, const ProgramStructureTree &T,
-                             RegionId R);
-
-/// CfgView twin: identical bodies (same quotient node and edge order) on a
-/// view of the same graph.
 CollapsedBody collapseRegion(const CfgView &V, const ProgramStructureTree &T,
                              RegionId R);
 
@@ -80,14 +74,15 @@ enum class RegionKind {
 const char *regionKindName(RegionKind K);
 
 /// Classifies the collapsed body of region \p R.
-RegionKind classifyRegion(const Cfg &G, const ProgramStructureTree &T,
+RegionKind classifyRegion(const CfgView &V, const ProgramStructureTree &T,
                           RegionId R);
 
 /// Figure 7's weight: the number of nested maximal SESE regions, with
 /// blocks weighing one ("an if-then-else has a weight of two").
 uint32_t regionWeight(const ProgramStructureTree &T, RegionId R);
 
-/// Renders the PST as an indented outline (for examples and debugging).
+/// Renders the PST as an indented outline (for examples and debugging),
+/// naming nodes by their \p G labels.
 std::string formatPst(const Cfg &G, const ProgramStructureTree &T);
 
 } // namespace pst

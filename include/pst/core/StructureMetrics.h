@@ -47,7 +47,7 @@ struct PstStats {
 };
 
 /// Computes all Figure 5/6/7/9 measurements for one procedure.
-PstStats computePstStats(const Cfg &G, const ProgramStructureTree &T);
+PstStats computePstStats(const CfgView &V, const ProgramStructureTree &T);
 
 } // namespace pst
 

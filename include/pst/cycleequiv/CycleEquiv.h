@@ -28,7 +28,6 @@
 #ifndef PST_CYCLEEQUIV_CYCLEEQUIV_H
 #define PST_CYCLEEQUIV_CYCLEEQUIV_H
 
-#include "pst/graph/Cfg.h"
 #include "pst/graph/CfgView.h"
 
 #include <cassert>
@@ -61,39 +60,6 @@ struct CycleEquivResult {
     return EdgeClass.back();
   }
 };
-
-/// Computes edge cycle equivalence classes.
-///
-/// If \p AddReturnEdge is true (the default), the artificial end -> start
-/// edge is added internally, making the graph strongly connected as Theorem
-/// 2 requires; \p G must then be a valid CFG. If false, \p G itself must
-/// already be strongly connected (used for the node-expanded graph in the
-/// control-region computation).
-///
-/// Runs in O(N + E) time and space.
-CycleEquivResult computeCycleEquivalence(const Cfg &G,
-                                         bool AddReturnEdge = true);
-
-/// Advanced entry point: cycle equivalence over a bare endpoint list.
-///
-/// Since Theorem 3 lets the algorithm work on the undirected multigraph,
-/// callers that derive a graph on the fly (e.g. the control-region
-/// computation, which conceptually works on the node-expanded T(S) but
-/// need not materialize it — the paper notes "the savings in space and
-/// time over working with the explicitly transformed graph are
-/// significant") can pass endpoints directly and skip building a Cfg.
-struct UndirectedGraphView {
-  uint32_t NumNodes = 0;
-  /// DFS root (any node of the connected graph).
-  NodeId Root = 0;
-  /// Edge I connects Endpoints[I].first and Endpoints[I].second.
-  std::vector<std::pair<NodeId, NodeId>> Endpoints;
-};
-
-/// Runs the Figure-4 algorithm on \p View. The input must be connected and
-/// bridgeless (e.g. derived from a strongly connected digraph). The result
-/// has one class entry per endpoint pair and HasReturnEdge = false.
-CycleEquivResult computeCycleEquivalenceRaw(const UndirectedGraphView &View);
 
 /// Reusable working memory for the Figure-4 solver.
 ///
@@ -146,20 +112,25 @@ struct CycleEquivScratch {
   std::vector<uint32_t> Hi;
 };
 
-/// As \c computeCycleEquivalenceRaw, with caller-owned working memory; the
-/// steady-state-allocation-free entry point batch pipelines build on.
-CycleEquivResult computeCycleEquivalenceRaw(const UndirectedGraphView &View,
-                                            CycleEquivScratch &Scratch);
-
-/// Cycle equivalence over a frozen CSR view of the CFG — the shared-
-/// adjacency fast path. No endpoint list is materialized and no counting
-/// pass runs: the solver's undirected incidence lists are written directly
-/// by merging each node's succ and pred CSR segments (plus the implicit
-/// return edge when \p AddReturnEdge), and edge endpoints are read from
-/// the view's flat arrays. Results are byte-identical to the \c Cfg
-/// overloads on a view of the same graph.
+/// Computes edge cycle equivalence classes of the CFG viewed by \p V.
+///
+/// If \p AddReturnEdge is true, the artificial end -> start edge is added
+/// (implicitly: it never appears in the view), making the graph strongly
+/// connected as Theorem 2 requires; \p V must then view a valid CFG, and
+/// the result's extra last entry is the return edge's class. If false, the
+/// graph itself must already be strongly connected.
+///
+/// No endpoint list is materialized and no counting pass runs: the
+/// solver's undirected incidence lists are written directly by merging
+/// each node's succ and pred CSR segments, and edge endpoints are read
+/// from the view's flat arrays. O(N + E) time and space; allocation-free
+/// but for the returned vector once \p Scratch is warm.
 CycleEquivResult computeCycleEquivalence(const CfgView &V, bool AddReturnEdge,
                                          CycleEquivScratch &Scratch);
+
+/// As above with a local scratch (for one-shot callers).
+CycleEquivResult computeCycleEquivalence(const CfgView &V,
+                                         bool AddReturnEdge = true);
 
 /// Cycle equivalence over the *implicitly* node-expanded graph T(S) of the
 /// paper's control-region construction: node V splits into V_in = 2V and
@@ -171,34 +142,6 @@ CycleEquivResult computeCycleEquivalence(const CfgView &V, bool AddReturnEdge,
 /// class per T(S) edge id; consumed by computeControlRegionsLinearImplicit.
 CycleEquivResult computeCycleEquivalenceTs(const CfgView &V,
                                            CycleEquivScratch &Scratch);
-
-/// Re-entrant driver for repeated cycle-equivalence runs.
-///
-/// The algorithm is a pure function, so nothing stops callers from invoking
-/// \c computeCycleEquivalence in a loop; but workloads that run it over many
-/// small graphs (the incremental PST rebuilds one extracted sub-CFG per
-/// dirty region per commit; the batch analyzer sweeps whole corpora of
-/// mostly-tiny procedures) would pay the full set of solver allocations per
-/// run. The engine keeps the endpoint buffer and a \c CycleEquivScratch
-/// alive across runs; each \c run is otherwise identical to
-/// \c computeCycleEquivalence.
-class CycleEquivEngine {
-public:
-  CycleEquivResult run(const Cfg &G, bool AddReturnEdge = true);
-
-  /// Scratch-backed twin of the CfgView overload of
-  /// \c computeCycleEquivalence.
-  CycleEquivResult run(const CfgView &V, bool AddReturnEdge = true);
-
-  /// Scratch-backed twin of \c computeCycleEquivalenceRaw.
-  CycleEquivResult runRaw(const UndirectedGraphView &View) {
-    return computeCycleEquivalenceRaw(View, Solver);
-  }
-
-private:
-  UndirectedGraphView View;
-  CycleEquivScratch Solver;
-};
 
 } // namespace pst
 

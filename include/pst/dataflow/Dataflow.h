@@ -27,7 +27,6 @@
 #define PST_DATAFLOW_DATAFLOW_H
 
 #include "pst/core/ProgramStructureTree.h"
-#include "pst/graph/Cfg.h"
 #include "pst/support/BitVector.h"
 
 #include <vector>
@@ -79,22 +78,13 @@ struct DataflowSolution {
   }
 };
 
-/// Worklist iteration to the (unique) greatest/least fixed point.
-DataflowSolution solveIterative(const Cfg &G, const BitVectorProblem &P);
-
-/// CfgView twin of \c solveIterative: the RPO sweep reads the shared flat
-/// pred segments. Identical solutions on a view of the same graph.
+/// Worklist iteration to the (unique) greatest/least fixed point; the RPO
+/// sweep reads the view's flat pred segments.
 DataflowSolution solveIterative(const CfgView &V, const BitVectorProblem &P);
 
 /// PST elimination: bottom-up region summarization, top-down propagation.
 /// Produces the same solution as \c solveIterative for every node on every
 /// gen/kill problem (tested), touching each region body O(1) times.
-DataflowSolution solveElimination(const Cfg &G,
-                                  const ProgramStructureTree &T,
-                                  const BitVectorProblem &P);
-
-/// CfgView twin of \c solveElimination (region bodies collapse straight
-/// off the shared CSR adjacency).
 DataflowSolution solveElimination(const CfgView &V,
                                   const ProgramStructureTree &T,
                                   const BitVectorProblem &P);

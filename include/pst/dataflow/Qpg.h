@@ -49,13 +49,8 @@ struct Qpg {
   uint32_t numEdges() const { return static_cast<uint32_t>(Edges.size()); }
 };
 
-/// Builds the QPG for \p P over \p G, bypassing maximal regions whose
+/// Builds the QPG for \p P over \p V, bypassing maximal regions whose
 /// every node has an identity transfer function.
-Qpg buildQpg(const Cfg &G, const ProgramStructureTree &T,
-             const BitVectorProblem &P);
-
-/// CfgView twin of \c buildQpg: identical graphs (same node discovery and
-/// edge order) on a view of the same graph.
 Qpg buildQpg(const CfgView &V, const ProgramStructureTree &T,
              const BitVectorProblem &P);
 
@@ -67,15 +62,11 @@ struct EdgeSolution {
 
 /// Solves \p P on the QPG and projects the solution back to every CFG
 /// edge. Identical to iterative OUT[source(e)] for every edge e (tested).
-EdgeSolution solveOnQpg(const Cfg &G, const ProgramStructureTree &T,
-                        const BitVectorProblem &P, Qpg *OutQpg = nullptr);
-
-/// CfgView twin of \c solveOnQpg.
 EdgeSolution solveOnQpg(const CfgView &V, const ProgramStructureTree &T,
                         const BitVectorProblem &P, Qpg *OutQpg = nullptr);
 
 /// The per-edge view of a whole-CFG solution (for comparisons).
-EdgeSolution edgeView(const Cfg &G, const DataflowSolution &S);
+EdgeSolution edgeView(const CfgView &V, const DataflowSolution &S);
 
 } // namespace pst
 

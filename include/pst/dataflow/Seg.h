@@ -50,23 +50,13 @@ struct Seg {
   uint32_t numEdges() const { return static_cast<uint32_t>(Edges.size()); }
 };
 
-/// Builds the SEG for \p P over \p G. Requires dominance frontiers (that
+/// Builds the SEG for \p P over \p V. Requires dominance frontiers (that
 /// is the construction cost the paper contrasts with the QPG's).
-Seg buildSeg(const Cfg &G, const DomTree &DT, const DominanceFrontiers &DF,
-             const BitVectorProblem &P);
-
-/// CfgView twin of \c buildSeg: identical graphs on a view of the same
-/// graph (given the same dominator tree and frontiers).
 Seg buildSeg(const CfgView &V, const DomTree &DT,
              const DominanceFrontiers &DF, const BitVectorProblem &P);
 
 /// Solves \p P on its SEG and projects back to a full per-node solution.
 /// Identical to \c solveIterative on every node (tested).
-DataflowSolution solveOnSeg(const Cfg &G, const DomTree &DT,
-                            const DominanceFrontiers &DF,
-                            const BitVectorProblem &P, Seg *OutSeg = nullptr);
-
-/// CfgView twin of \c solveOnSeg.
 DataflowSolution solveOnSeg(const CfgView &V, const DomTree &DT,
                             const DominanceFrontiers &DF,
                             const BitVectorProblem &P, Seg *OutSeg = nullptr);

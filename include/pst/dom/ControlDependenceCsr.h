@@ -45,12 +45,8 @@ class ControlDependenceCsr {
 public:
   ControlDependenceCsr() = default;
 
-  /// Builds the relation for \p G using \p Pdt, which must be
+  /// Builds the relation for \p V using \p Pdt, which must be
   /// \c DomTree::buildPostDom of the same graph.
-  ControlDependenceCsr(const Cfg &G, const DomTree &Pdt);
-
-  /// CfgView twin; identical relation to the \c Cfg overload on a view of
-  /// the same graph.
   ControlDependenceCsr(const CfgView &V, const DomTree &Pdt);
 
   /// The edges node \p N is control dependent on, ascending by edge id.
@@ -72,8 +68,6 @@ public:
   }
 
 private:
-  template <class GraphT> void init(const GraphT &G, const DomTree &Pdt);
-
   std::vector<uint32_t> Off;
   std::vector<EdgeId> Edges;
 };

@@ -17,52 +17,36 @@
 ///    equivalence algorithm against ("runs faster than Lengauer and
 ///    Tarjan's algorithm for finding dominators").
 ///
-/// Postdominators are dominators of the reversed graph (node ids are
-/// preserved by \c reverseCfg, so the tree indexes the original nodes).
+/// Postdominators are dominators of the reversed graph (a \c ReversedCfgView
+/// keeps node ids, so the tree indexes the original nodes).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PST_DOM_DOMINATORS_H
 #define PST_DOM_DOMINATORS_H
 
-#include "pst/graph/Cfg.h"
 #include "pst/graph/CfgView.h"
 
 #include <vector>
 
 namespace pst {
 
-/// An immediate-dominator tree over the nodes of a Cfg.
+/// An immediate-dominator tree over the nodes of a CFG.
 class DomTree {
 public:
-  /// Builds the dominator tree of \p G rooted at its entry, using the
-  /// Cooper-Harvey-Kennedy iterative algorithm.
-  static DomTree buildIterative(const Cfg &G);
-
-  /// As \c buildIterative, over a frozen CSR view: RPO and the idom
-  /// fixpoint iterate the shared flat pred segments directly. Bit-identical
-  /// trees to the \c Cfg overload on a view of the same graph.
+  /// Builds the dominator tree of \p V rooted at its entry, using the
+  /// Cooper-Harvey-Kennedy iterative algorithm: RPO and the idom fixpoint
+  /// iterate the flat pred segments directly.
   static DomTree buildIterative(const CfgView &V);
 
-  /// Builds the dominator tree of \p G rooted at its entry, using the
+  /// Builds the dominator tree of \p V rooted at its entry, using the
   /// Lengauer-Tarjan algorithm (the "simple" eval/link variant).
-  static DomTree buildLengauerTarjan(const Cfg &G);
-
-  /// As \c buildLengauerTarjan, over a frozen CSR view: the DFS and the
-  /// semidominator passes walk the shared flat succ/pred segments directly.
-  /// Bit-identical trees to the \c Cfg overload on a view of the same
-  /// graph.
   static DomTree buildLengauerTarjan(const CfgView &V);
 
-  /// Builds the postdominator tree of \p G (dominators of the reverse graph,
-  /// rooted at exit), using the iterative algorithm.
-  static DomTree buildPostDom(const Cfg &G);
-
-  /// As \c buildPostDom, over a frozen CSR view. No reversed graph is
-  /// materialized: the iterative algorithm runs on a \c ReversedCfgView
-  /// adapter, whose succ segments are the view's pred segments (same
-  /// ascending edge-id order \c reverseCfg produces), so the tree is
-  /// bit-identical to the \c Cfg overload.
+  /// Builds the postdominator tree of \p V (dominators of the reverse graph,
+  /// rooted at exit), using the iterative algorithm. No reversed graph is
+  /// materialized: the kernel runs on a \c ReversedCfgView, whose succ
+  /// segments are the view's pred segments.
   static DomTree buildPostDom(const CfgView &V);
 
   /// Wraps an externally computed immediate-dominator array (e.g. from the
@@ -112,12 +96,10 @@ public:
 private:
   void finalize(); // Builds Kids/In/Out/Depth from Idom.
 
-  // Shared iterative kernel for the Cfg, CfgView and ReversedCfgView
-  // overloads; defined (and only instantiated) in Dominators.cpp.
+  // Iterative kernel shared by the forward (dominator) and reversed
+  // (postdominator) views; defined (and only instantiated) in
+  // Dominators.cpp.
   template <class GraphT> static DomTree buildIterativeImpl(const GraphT &G);
-  // Shared Lengauer-Tarjan kernel for the Cfg and CfgView overloads.
-  template <class GraphT>
-  static DomTree buildLengauerTarjanImpl(const GraphT &G);
 
   NodeId Root = InvalidNode;
   std::vector<NodeId> Idom;
@@ -130,12 +112,8 @@ private:
 /// not strictly dominate m.
 class DominanceFrontiers {
 public:
-  /// Computes frontiers for \p G using dominator tree \p DT (which must have
-  /// been built for \p G).
-  DominanceFrontiers(const Cfg &G, const DomTree &DT);
-
-  /// CfgView twin: walks the shared flat pred segments. Identical
-  /// frontiers to the \c Cfg overload on a view of the same graph.
+  /// Computes frontiers for \p V using dominator tree \p DT (which must have
+  /// been built for \p V).
   DominanceFrontiers(const CfgView &V, const DomTree &DT);
 
   /// The frontier of \p N, sorted ascending, without duplicates.
@@ -153,8 +131,6 @@ public:
   }
 
 private:
-  template <class GraphT> void init(const GraphT &G, const DomTree &DT);
-
   std::vector<std::vector<NodeId>> DF;
 };
 

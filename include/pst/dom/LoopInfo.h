@@ -17,7 +17,6 @@
 #define PST_DOM_LOOPINFO_H
 
 #include "pst/dom/Dominators.h"
-#include "pst/graph/Cfg.h"
 
 #include <vector>
 
@@ -45,15 +44,10 @@ public:
     uint32_t Depth = 1;
   };
 
-  /// Computes natural loops of \p G using dominator tree \p DT. Only
+  /// Computes natural loops of \p V using dominator tree \p DT. Only
   /// backedges in the dominance sense contribute; irreducible cycles
   /// (retreating edges whose target does not dominate the source) are not
   /// natural loops and are reported via \c irreducibleEdges.
-  LoopInfo(const Cfg &G, const DomTree &DT);
-
-  /// CfgView twin: walks the shared flat succ/pred segments. Identical
-  /// loops (same ids, members, nesting) to the \c Cfg overload on a view
-  /// of the same graph.
   LoopInfo(const CfgView &V, const DomTree &DT);
 
   uint32_t numLoops() const { return static_cast<uint32_t>(Loops.size()); }
@@ -72,10 +66,6 @@ public:
   const std::vector<EdgeId> &irreducibleEdges() const { return IrrEdges; }
 
 private:
-  // Shared construction kernel for the Cfg and CfgView overloads; defined
-  // (and only instantiated) in LoopInfo.cpp.
-  template <class GraphT> void init(const GraphT &G, const DomTree &DT);
-
   std::vector<Loop> Loops;
   std::vector<LoopId> NodeLoop;
   std::vector<EdgeId> IrrEdges;

@@ -37,9 +37,6 @@ struct DfsResult {
 
 /// Runs an iterative DFS over the directed graph from \p Root, following
 /// successor edges in order. Deterministic given the graph.
-DfsResult depthFirstSearch(const Cfg &G, NodeId Root);
-/// Same traversal over a frozen CSR view; identical output for a view of
-/// the same graph.
 DfsResult depthFirstSearch(const CfgView &G, NodeId Root);
 /// Same traversal over a reversed view (follows pred CSR segments).
 DfsResult depthFirstSearch(const ReversedCfgView &G, NodeId Root);
@@ -56,9 +53,8 @@ bool existsPathBetween(const Cfg &G, NodeId From, NodeId To);
 /// Nodes in reverse postorder of a forward DFS from entry (the canonical
 /// iteration order for forward dataflow and dominators). Unreached nodes are
 /// absent.
-std::vector<NodeId> reversePostOrder(const Cfg &G);
-/// CSR-view variants (identical orders for views of the same graph).
 std::vector<NodeId> reversePostOrder(const CfgView &G);
+/// Same order over a reversed view (the postdominator sweep order).
 std::vector<NodeId> reversePostOrder(const ReversedCfgView &G);
 
 /// Checks the Definition-1 invariants:
@@ -83,9 +79,6 @@ Cfg simplifyCfg(const Cfg &G);
 /// Tests reducibility via iterated T1 (self-loop removal) / T2 (merge a node
 /// with a unique predecessor) transformations. A flow graph is reducible iff
 /// these reduce it to a single node.
-bool isReducible(const Cfg &G);
-/// Same test over a frozen CSR view (identical verdict for a view of the
-/// same graph; pinned over the full paper corpus in CfgViewTest).
 bool isReducible(const CfgView &G);
 
 /// A sub-CFG cut out around a SESE region boundary.

@@ -34,9 +34,10 @@
 /// allocations. The view is invalidated by touching the scratch or the
 /// source graph.
 ///
-/// \c CfgView deliberately mirrors the read API of \c Cfg (numNodes,
-/// entry, source, succEdges, ...) so analysis implementations can be written
-/// once as templates over the graph type.
+/// \c CfgView is the one graph type every analysis reads: \c Cfg is only the
+/// mutable builder (lowering, generators, \c DynamicCfg, IO, validation).
+/// Callers that hold a \c Cfg and want a one-shot analysis freeze it with
+/// \c FrozenCfg, which owns the scratch its view lives in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -145,12 +146,40 @@ private:
   const NodeId *EdgeDstP = nullptr;
 };
 
+/// A \c Cfg frozen into a view that owns its storage: a \c CfgViewScratch
+/// plus the view built into it. The convenience form for one-shot callers
+/// (tests, examples, baselines, extracted sub-CFGs); pipelines that freeze
+/// many graphs reuse one \c CfgViewScratch instead.
+///
+/// Lifetime contract: the view is valid while this object lives; the
+/// source graph may change or die afterwards, since every array and the
+/// entry/exit ids were copied. Moving keeps the view
+/// valid (vector moves transfer their buffers); copying is disabled. It
+/// converts implicitly to \c const \c CfgView&, so a temporary works as a
+/// call argument — `DomTree::buildIterative(FrozenCfg(G))` — but must not
+/// be bound to a reference that outlives the full expression.
+class FrozenCfg {
+public:
+  explicit FrozenCfg(const Cfg &G) : View(CfgView::build(G, Scratch)) {}
+  FrozenCfg(const FrozenCfg &) = delete;
+  FrozenCfg &operator=(const FrozenCfg &) = delete;
+  FrozenCfg(FrozenCfg &&) = default;
+  FrozenCfg &operator=(FrozenCfg &&) = default;
+
+  const CfgView &view() const { return View; }
+  operator const CfgView &() const { return View; }
+
+private:
+  CfgViewScratch Scratch; // Declared first: View points into it.
+  CfgView View;
+};
+
 /// \c CfgView with every edge reversed, entry/exit swapped — the flat-array
 /// replacement for materializing \c reverseCfg(G). Edge ids are preserved.
 /// Because both CSR sides keep per-node lists in ascending edge-id order,
 /// iterating this adapter's succEdges visits exactly the edges (and order)
 /// that \c reverseCfg's succ lists would hold, so DFS-derived structures
-/// (postdominators in particular) are bit-identical to the legacy path.
+/// (postdominators in particular) match a materialized reversal exactly.
 class ReversedCfgView {
 public:
   explicit ReversedCfgView(const CfgView &View) : V(View) {}

@@ -43,11 +43,6 @@ struct IntervalPartition {
 };
 
 /// Computes the interval partition with headers discovered from the entry.
-IntervalPartition computeIntervals(const Cfg &G);
-
-/// CfgView twin: grows intervals off the shared flat succ/pred segments.
-/// Identical partition (same interval order and member order) to the \c Cfg
-/// overload on a view of the same graph.
 IntervalPartition computeIntervals(const CfgView &V);
 
 /// Collapses each interval to one node (parallel edges deduplicated).

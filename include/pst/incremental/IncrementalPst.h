@@ -39,7 +39,6 @@
 #define PST_INCREMENTAL_INCREMENTALPST_H
 
 #include "pst/core/ProgramStructureTree.h"
-#include "pst/cycleequiv/CycleEquiv.h"
 #include "pst/incremental/DynamicCfg.h"
 
 #include <string>
@@ -191,7 +190,11 @@ private:
   void ensureTablesSized();
 
   DynamicCfg &DG;
-  CycleEquivEngine CeEngine;
+  // Rebuild working memory, reused across commits: every subtree rebuild
+  // freezes its extracted sub-CFG into ViewScratch and builds through
+  // BuildScratch (which holds the cycle-equivalence solver's scratch).
+  CfgViewScratch ViewScratch;
+  PstBuildScratch BuildScratch;
 
   std::vector<Slot> Regions;
   std::vector<RegionId> FreeSlots;

@@ -43,7 +43,7 @@ struct PstScratch {
   /// \c CfgView here and every pipeline stage reads it; no stage rebuilds
   /// its own adjacency.
   CfgViewScratch View;
-  /// PST construction (embeds the cycle-equivalence engine).
+  /// PST construction (embeds the cycle-equivalence solver scratch).
   PstBuildScratch PstBuild;
   /// Control regions over the implicitly node-expanded graph T(S); kept
   /// separate from PstBuild's solver scratch only so the two stages cannot

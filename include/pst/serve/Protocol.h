@@ -38,6 +38,11 @@
 /// scripted session produces byte-identical transcripts at any worker
 /// count, which is what the CI smoke test diffs against its golden file.
 ///
+/// Resource bound: a request line longer than \c MaxLineBytes (the
+/// `--listen` socket is untrusted input) gets exactly one `err` response,
+/// in order, like any malformed request; the rest of its bytes are read
+/// and discarded without being buffered, and the session continues.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PST_SERVE_PROTOCOL_H
@@ -49,6 +54,11 @@
 
 namespace pst {
 namespace serve {
+
+/// Longest request line a session accepts, excluding the newline. Far
+/// above any well-formed request (a `phi` def list of ten thousand nodes
+/// fits), and the only per-line memory a client can make a session hold.
+inline constexpr size_t MaxLineBytes = 64 * 1024;
 
 /// A parsed input line.
 struct ParsedLine {

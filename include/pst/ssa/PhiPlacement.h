@@ -44,19 +44,11 @@ struct PhiPlacement {
 };
 
 /// Cytron et al. iterated-dominance-frontier placement on the full CFG.
-PhiPlacement placePhisClassic(const LoweredFunction &F);
-
-/// As \c placePhisClassic, with dominators and frontiers computed over a
-/// frozen CSR view of \c F.Graph (\p V must view that graph). Identical
-/// placements.
+/// \p V must view \c F.Graph.
 PhiPlacement placePhisClassic(const LoweredFunction &F, const CfgView &V);
 
-/// The paper's PST-based placement (Section 6.1, Theorem 9).
-PhiPlacement placePhisPst(const LoweredFunction &F,
-                          const ProgramStructureTree &T);
-
-/// As \c placePhisPst, collapsing region bodies off a frozen CSR view of
-/// \c F.Graph (\p V must view that graph). Identical placements.
+/// The paper's PST-based placement (Section 6.1, Theorem 9), collapsing
+/// region bodies off \p V, which must view \c F.Graph.
 PhiPlacement placePhisPst(const LoweredFunction &F, const CfgView &V,
                           const ProgramStructureTree &T);
 

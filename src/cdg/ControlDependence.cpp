@@ -10,7 +10,7 @@
 
 using namespace pst;
 
-ControlDependence::ControlDependence(const Cfg &G)
+ControlDependence::ControlDependence(const CfgView &G)
     : PDT(DomTree::buildPostDom(G)) {
   uint32_t N = G.numNodes();
   Deps.assign(N, {});

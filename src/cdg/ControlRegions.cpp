@@ -17,21 +17,30 @@
 
 using namespace pst;
 
-Cfg pst::nodeExpand(const Cfg &G) {
+/// T(G) without labels: representative edges first, so that node V's
+/// representative edge has EdgeId V.
+static Cfg expandNodes(const CfgView &V) {
   Cfg H;
-  uint32_t N = G.numNodes();
-  for (NodeId V = 0; V < N; ++V) {
-    H.addNode(G.nodeName(V) + "_i");
-    H.addNode(G.nodeName(V) + "_o");
+  uint32_t N = V.numNodes();
+  H.reserveNodes(2 * N);
+  H.reserveEdges(N + V.numEdges() + 1);
+  for (NodeId X = 0; X < 2 * N; ++X)
+    H.addNode();
+  for (NodeId X = 0; X < N; ++X)
+    H.addEdge(2 * X, 2 * X + 1);
+  for (EdgeId E = 0; E < V.numEdges(); ++E)
+    H.addEdge(2 * V.source(E) + 1, 2 * V.target(E));
+  H.setEntry(2 * V.entry());
+  H.setExit(2 * V.exit() + 1);
+  return H;
+}
+
+Cfg pst::nodeExpand(const Cfg &G) {
+  Cfg H = expandNodes(FrozenCfg(G));
+  for (NodeId V = 0; V < G.numNodes(); ++V) {
+    H.setNodeLabel(2 * V, G.nodeName(V) + "_i");
+    H.setNodeLabel(2 * V + 1, G.nodeName(V) + "_o");
   }
-  // Representative edges first so that node V's representative edge has
-  // EdgeId V.
-  for (NodeId V = 0; V < N; ++V)
-    H.addEdge(2 * V, 2 * V + 1);
-  for (EdgeId E = 0; E < G.numEdges(); ++E)
-    H.addEdge(2 * G.source(E) + 1, 2 * G.target(E));
-  H.setEntry(2 * G.entry());
-  H.setExit(2 * G.exit() + 1);
   return H;
 }
 
@@ -46,59 +55,18 @@ static ControlRegionsResult densify(std::vector<uint32_t> Raw) {
   return R;
 }
 
-ControlRegionsResult pst::computeControlRegionsLinear(const Cfg &G) {
+ControlRegionsResult pst::computeControlRegionsLinear(const CfgView &V) {
   PST_SPAN("cdg.control_regions");
   // T(S): expand nodes, then close with the return edge end_o -> start_i.
-  Cfg H = nodeExpand(G);
-  H.addEdge(2 * G.exit() + 1, 2 * G.entry());
-  CycleEquivResult CE = computeCycleEquivalence(H, /*AddReturnEdge=*/false);
+  Cfg H = expandNodes(V);
+  H.addEdge(2 * V.exit() + 1, 2 * V.entry());
+  CycleEquivResult CE =
+      computeCycleEquivalence(FrozenCfg(H), /*AddReturnEdge=*/false);
 
-  std::vector<uint32_t> Raw(G.numNodes());
-  for (NodeId V = 0; V < G.numNodes(); ++V)
-    Raw[V] = CE.classOf(V); // Representative edge of V has EdgeId V.
+  std::vector<uint32_t> Raw(V.numNodes());
+  for (NodeId X = 0; X < V.numNodes(); ++X)
+    Raw[X] = CE.classOf(X); // Representative edge of X has EdgeId X.
   ControlRegionsResult R = densify(std::move(Raw));
-  PST_COUNTER("cdg.runs", 1);
-  PST_COUNTER("cdg.classes", R.NumClasses);
-  return R;
-}
-
-ControlRegionsResult pst::computeControlRegionsLinearImplicit(const Cfg &G) {
-  ControlRegionsScratch Scratch;
-  return computeControlRegionsLinearImplicit(G, Scratch);
-}
-
-ControlRegionsResult pst::computeControlRegionsLinearImplicit(
-    const Cfg &G, ControlRegionsScratch &S) {
-  PST_SPAN("cdg.control_regions");
-  // Endpoints of T(S) synthesized in place: node V splits into V_i = 2V
-  // and V_o = 2V+1; representative edge V gets index V; original edge E
-  // becomes (src_o, dst_i); the return edge closes the cycle.
-  uint32_t N = G.numNodes();
-  S.View.NumNodes = 2 * N;
-  S.View.Root = 2 * G.entry();
-  S.View.Endpoints.clear();
-  S.View.Endpoints.reserve(N + G.numEdges() + 1);
-  for (NodeId V = 0; V < N; ++V)
-    S.View.Endpoints.emplace_back(2 * V, 2 * V + 1);
-  for (EdgeId E = 0; E < G.numEdges(); ++E)
-    S.View.Endpoints.emplace_back(2 * G.source(E) + 1, 2 * G.target(E));
-  S.View.Endpoints.emplace_back(2 * G.exit() + 1, 2 * G.entry());
-
-  CycleEquivResult CE = computeCycleEquivalenceRaw(S.View, S.Solver);
-
-  // Densify in first-occurrence order (canonicalizePartition's semantics)
-  // straight into the result, using the scratch remap table.
-  ControlRegionsResult R;
-  R.NodeClass.resize(N);
-  S.Remap.assign(CE.NumClasses, UINT32_MAX);
-  uint32_t Next = 0;
-  for (NodeId V = 0; V < N; ++V) {
-    uint32_t C = CE.classOf(V); // Representative edge of V has EdgeId V.
-    if (S.Remap[C] == UINT32_MAX)
-      S.Remap[C] = Next++;
-    R.NodeClass[V] = S.Remap[C];
-  }
-  R.NumClasses = Next;
   PST_COUNTER("cdg.runs", 1);
   PST_COUNTER("cdg.classes", R.NumClasses);
   return R;
@@ -107,9 +75,8 @@ ControlRegionsResult pst::computeControlRegionsLinearImplicit(
 ControlRegionsResult pst::computeControlRegionsLinearImplicit(
     const CfgView &V, ControlRegionsScratch &S) {
   PST_SPAN("cdg.control_regions");
-  // Same implicit T(S) run, but over the frozen CSR view: no endpoint
-  // buffer is filled — the solver reads adjacency straight from the
-  // view's succ/pred segments and synthesizes endpoints arithmetically.
+  // Endpoints of T(S) are synthesized arithmetically and the solver reads
+  // adjacency straight from the view's succ/pred segments.
   uint32_t N = V.numNodes();
   CycleEquivResult CE = computeCycleEquivalenceTs(V, S.Solver);
 
@@ -129,7 +96,13 @@ ControlRegionsResult pst::computeControlRegionsLinearImplicit(
   return R;
 }
 
-ControlRegionsResult pst::computeControlRegionsFOW(const Cfg &G) {
+ControlRegionsResult
+pst::computeControlRegionsLinearImplicit(const CfgView &V) {
+  ControlRegionsScratch Scratch;
+  return computeControlRegionsLinearImplicit(V, Scratch);
+}
+
+ControlRegionsResult pst::computeControlRegionsFOW(const CfgView &G) {
   ControlDependence CD(G);
   // Group nodes by their full dependence set. A std::map keyed by the
   // sorted vector stands in for FOW's hashing; the cost that matters (and
@@ -145,7 +118,7 @@ ControlRegionsResult pst::computeControlRegionsFOW(const Cfg &G) {
   return densify(std::move(Raw));
 }
 
-ControlRegionsResult pst::computeControlRegionsRefinement(const Cfg &G) {
+ControlRegionsResult pst::computeControlRegionsRefinement(const CfgView &G) {
   uint32_t N = G.numNodes();
   ControlDependence CD(G);
 

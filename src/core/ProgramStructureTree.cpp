@@ -78,39 +78,22 @@ ProgramStructureTree ProgramStructureTree::adoptExternal(
   return T;
 }
 
-ProgramStructureTree ProgramStructureTree::build(const Cfg &G) {
-  PstBuildScratch Scratch;
-  return build(G, Scratch);
-}
-
-ProgramStructureTree ProgramStructureTree::build(const Cfg &G,
-                                                 PstBuildScratch &Scratch) {
-  PST_SPAN("pst.build");
-  return buildWithCycleEquiv(G, Scratch.CE.run(G, /*AddReturnEdge=*/true),
-                             Scratch);
-}
-
 ProgramStructureTree ProgramStructureTree::build(const CfgView &V,
                                                  PstBuildScratch &Scratch) {
   PST_SPAN("pst.build");
-  return buildWithCycleEquiv(V, Scratch.CE.run(V, /*AddReturnEdge=*/true),
-                             Scratch);
+  return buildWithCycleEquiv(
+      V, computeCycleEquivalence(V, /*AddReturnEdge=*/true, Scratch.CE),
+      Scratch);
+}
+
+ProgramStructureTree ProgramStructureTree::build(const CfgView &V) {
+  PstBuildScratch Scratch;
+  return build(V, Scratch);
 }
 
 ProgramStructureTree
-ProgramStructureTree::buildWithCycleEquiv(const Cfg &G, CycleEquivResult CE) {
-  PstBuildScratch Scratch;
-  return buildWithCycleEquiv(G, std::move(CE), Scratch);
-}
-
-// The construction proper, shared between the Cfg and CfgView overloads:
-// both expose numNodes/numEdges/entry/succEdges/target, and the template
-// guarantees the two paths traverse edges in the same order, which is what
-// makes their trees bit-identical.
-template <class GraphT>
-ProgramStructureTree ProgramStructureTree::buildImpl(const GraphT &G,
-                                                     CycleEquivResult CE,
-                                                     PstBuildScratch &S) {
+ProgramStructureTree::buildWithCycleEquiv(const CfgView &G, CycleEquivResult CE,
+                                          PstBuildScratch &S) {
   // Region pairing + nesting only; the cycle-equivalence span nests under
   // pst.build when the caller came through build().
   PST_SPAN("pst.construct");
@@ -272,18 +255,6 @@ ProgramStructureTree ProgramStructureTree::buildImpl(const GraphT &G,
   PST_COUNTER("pst.canonical_regions", T.numCanonicalRegions());
   PST_VALUE("pst.regions_per_build", T.numCanonicalRegions());
   return T;
-}
-
-ProgramStructureTree
-ProgramStructureTree::buildWithCycleEquiv(const Cfg &G, CycleEquivResult CE,
-                                          PstBuildScratch &S) {
-  return buildImpl(G, std::move(CE), S);
-}
-
-ProgramStructureTree
-ProgramStructureTree::buildWithCycleEquiv(const CfgView &V, CycleEquivResult CE,
-                                          PstBuildScratch &S) {
-  return buildImpl(V, std::move(CE), S);
 }
 
 std::vector<NodeId> ProgramStructureTree::allNodes(RegionId R) const {

@@ -12,11 +12,8 @@
 
 using namespace pst;
 
-namespace {
-
-template <class GraphT>
-DomTree buildDominatorsViaPstImpl(const GraphT &G,
-                                  const ProgramStructureTree &T) {
+DomTree pst::buildDominatorsViaPst(const CfgView &G,
+                                   const ProgramStructureTree &T) {
   std::vector<NodeId> Idom(G.numNodes(), InvalidNode);
 
   for (RegionId R = 0; R < T.numRegions(); ++R) {
@@ -31,7 +28,7 @@ DomTree buildDominatorsViaPstImpl(const GraphT &G,
       Q.addEdge(E.Src, E.Dst);
     Q.setEntry(B.EntryQ);
     Q.setExit(B.ExitQ); // Unused by the builder; kept for completeness.
-    DomTree Local = DomTree::buildIterative(Q);
+    DomTree Local = DomTree::buildIterative(FrozenCfg(Q));
 
     // Maps a quotient node to the CFG node that dominates everything
     // "after" it: itself for immediate nodes, the exit-edge source for a
@@ -63,16 +60,4 @@ DomTree buildDominatorsViaPstImpl(const GraphT &G,
   }
 
   return DomTree::fromIdom(G.entry(), std::move(Idom));
-}
-
-} // namespace
-
-DomTree pst::buildDominatorsViaPst(const Cfg &G,
-                                   const ProgramStructureTree &T) {
-  return buildDominatorsViaPstImpl(G, T);
-}
-
-DomTree pst::buildDominatorsViaPst(const CfgView &V,
-                                   const ProgramStructureTree &T) {
-  return buildDominatorsViaPstImpl(V, T);
 }

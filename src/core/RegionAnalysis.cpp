@@ -30,14 +30,8 @@ static RegionId liftToChild(const ProgramStructureTree &T, RegionId R,
   return InvalidRegion;
 }
 
-namespace {
-
-/// Shared kernel of the Cfg and CfgView collapseRegion overloads; both
-/// traverse the same edge lists in the same order, so the quotient bodies
-/// come out identical.
-template <class GraphT>
-CollapsedBody collapseRegionImpl(const GraphT &G,
-                                 const ProgramStructureTree &T, RegionId R) {
+CollapsedBody pst::collapseRegion(const CfgView &G,
+                                  const ProgramStructureTree &T, RegionId R) {
   CollapsedBody B;
   std::unordered_map<uint64_t, uint32_t> QIndex; // Keyed below.
   auto NodeKey = [](NodeId N) { return uint64_t(N); };
@@ -110,18 +104,6 @@ CollapsedBody collapseRegionImpl(const GraphT &G,
   return B;
 }
 
-} // namespace
-
-CollapsedBody pst::collapseRegion(const Cfg &G, const ProgramStructureTree &T,
-                                  RegionId R) {
-  return collapseRegionImpl(G, T, R);
-}
-
-CollapsedBody pst::collapseRegion(const CfgView &V,
-                                  const ProgramStructureTree &T, RegionId R) {
-  return collapseRegionImpl(V, T, R);
-}
-
 const char *pst::regionKindName(RegionKind K) {
   switch (K) {
   case RegionKind::Block:
@@ -176,7 +158,7 @@ static bool bodyHasCycle(const CollapsedBody &B) {
   return false;
 }
 
-RegionKind pst::classifyRegion(const Cfg &G, const ProgramStructureTree &T,
+RegionKind pst::classifyRegion(const CfgView &G, const ProgramStructureTree &T,
                                RegionId R) {
   CollapsedBody B = collapseRegion(G, T, R);
   uint32_t N = B.numNodes();
@@ -196,8 +178,8 @@ RegionKind pst::classifyRegion(const Cfg &G, const ProgramStructureTree &T,
     // two-terminal CFG so validate is never called on it.
     Q.setEntry(B.EntryQ);
     Q.setExit(B.ExitQ);
-    return isReducible(Q) ? RegionKind::Loop
-                          : RegionKind::CyclicUnstructured;
+    return isReducible(FrozenCfg(Q)) ? RegionKind::Loop
+                                     : RegionKind::CyclicUnstructured;
   }
 
   // Acyclic shapes: one branch node whose arms are disjoint linear chains
@@ -252,6 +234,7 @@ uint32_t pst::regionWeight(const ProgramStructureTree &T, RegionId R) {
 }
 
 std::string pst::formatPst(const Cfg &G, const ProgramStructureTree &T) {
+  FrozenCfg V(G);
   std::ostringstream OS;
   // Depth-first print of the region tree.
   std::vector<std::pair<RegionId, uint32_t>> Stack{{T.root(), 0}};
@@ -268,7 +251,7 @@ std::string pst::formatPst(const Cfg &G, const ProgramStructureTree &T) {
          << G.nodeName(G.target(Reg.EntryEdge)) << ", "
          << G.nodeName(G.source(Reg.ExitEdge)) << "->"
          << G.nodeName(G.target(Reg.ExitEdge)) << ") "
-         << regionKindName(classifyRegion(G, T, R));
+         << regionKindName(classifyRegion(V, T, R));
     }
     OS << " [nodes:";
     for (NodeId N : T.immediateNodes(R))

@@ -10,7 +10,8 @@
 
 using namespace pst;
 
-PstStats pst::computePstStats(const Cfg &G, const ProgramStructureTree &T) {
+PstStats pst::computePstStats(const CfgView &G,
+                               const ProgramStructureTree &T) {
   PstStats S;
   S.NumRegions = T.numCanonicalRegions();
 

@@ -20,13 +20,12 @@
 //    std::vector buckets cost more in allocator traffic than the algorithm
 //    itself; with the scratch warm, a run allocates nothing but its result.
 //  * The solver is a template over an *endpoint policy*, so the same
-//    Figure-4 sweep serves three graph encodings with zero duplication:
-//    materialized endpoint pairs (UndirectedGraphView), a frozen CfgView
-//    CSR plus the implicit return edge, and the arithmetic node expansion
-//    T(S) of the control-region construction. The CfgView encodings also
-//    pre-build the undirected adjacency straight from the shared CSR
-//    segments (each node's incident edges are the ascending-id merge of
-//    its succ and pred segments), skipping the counting passes entirely.
+//    Figure-4 sweep serves both graph encodings with zero duplication: a
+//    frozen CfgView CSR plus the implicit return edge, and the arithmetic
+//    node expansion T(S) of the control-region construction. Both write
+//    the undirected adjacency straight from the shared CSR segments (each
+//    node's incident edges are the ascending-id merge of its succ and pred
+//    segments), so no counting pass over an endpoint list is needed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -49,13 +48,6 @@ constexpr uint32_t None = ~uint32_t(0);
 // answers it for one encoding; all are a couple of loads (or pure
 // arithmetic), so the template keeps the inner loops branch-predictable
 // without virtual dispatch.
-
-/// Materialized endpoint pairs (the legacy UndirectedGraphView path).
-struct PairEndpoints {
-  const std::pair<NodeId, NodeId> *P;
-  NodeId a(uint32_t E) const { return P[E].first; }
-  NodeId b(uint32_t E) const { return P[E].second; }
-};
 
 /// CFG edges from a CfgView's flat endpoint arrays, plus the implicit
 /// trailing return edge (id == NumCfgEdges).
@@ -113,11 +105,10 @@ public:
       : Nodes(NumNodes), Root(Root), S(S), NumRealEdges(NumRealEdges),
         Ep(Ep) {}
 
-  /// Runs the algorithm. When \p AdjacencyPrebuilt is set the caller has
-  /// already written S.AdjOff/AdjEdge/AdjOther and S.SelfLoops (the
-  /// CfgView paths do, straight from the shared CSR); otherwise the
-  /// adjacency is built here from the endpoint policy via counting passes.
-  CycleEquivResult run(bool AdjacencyPrebuilt);
+  /// Runs the algorithm. The caller has already written
+  /// S.AdjOff/AdjEdge/AdjOther and S.SelfLoops straight from the view's
+  /// CSR (\c buildViewAdjacency / \c buildTsAdjacency).
+  CycleEquivResult run();
 
 private:
   // -- Bracket list primitives (all O(1)) --------------------------------
@@ -188,7 +179,6 @@ private:
   }
 
   // -- Phases -------------------------------------------------------------
-  void buildAdjacency();
   void undirectedDfs(NodeId DfsRoot);
   void classifyEdges();
   void processNodes();
@@ -204,37 +194,6 @@ private:
   EndpointsT Ep;
   uint32_t NextClass = 0;
 };
-
-template <class EndpointsT>
-void CycleEquivSolver<EndpointsT>::buildAdjacency() {
-  uint32_t N = numNodes();
-  S.SelfLoops.clear();
-  S.AdjOff.assign(N + 1, 0);
-  for (uint32_t E = 0; E < NumRealEdges; ++E) {
-    NodeId A = endpointA(E), B = endpointB(E);
-    if (A == B) {
-      S.SelfLoops.push_back(E);
-      continue;
-    }
-    ++S.AdjOff[A + 1];
-    ++S.AdjOff[B + 1];
-  }
-  finishOffsets(S.AdjOff);
-  uint32_t Entries = S.AdjOff[N];
-  S.AdjEdge.resize(Entries);
-  S.AdjOther.resize(Entries);
-  for (uint32_t E = 0; E < NumRealEdges; ++E) {
-    NodeId A = endpointA(E), B = endpointB(E);
-    if (A == B)
-      continue;
-    uint32_t IA = S.Cursor[A]++;
-    S.AdjEdge[IA] = E;
-    S.AdjOther[IA] = B;
-    uint32_t IB = S.Cursor[B]++;
-    S.AdjEdge[IB] = E;
-    S.AdjOther[IB] = A;
-  }
-}
 
 template <class EndpointsT>
 void CycleEquivSolver<EndpointsT>::undirectedDfs(NodeId DfsRoot) {
@@ -449,7 +408,7 @@ void CycleEquivSolver<EndpointsT>::processNodes() {
 }
 
 template <class EndpointsT>
-CycleEquivResult CycleEquivSolver<EndpointsT>::run(bool AdjacencyPrebuilt) {
+CycleEquivResult CycleEquivSolver<EndpointsT>::run() {
   PST_SPAN("cycleequiv.run");
   CycleEquivResult R;
   if (numNodes() == 0) {
@@ -458,11 +417,9 @@ CycleEquivResult CycleEquivSolver<EndpointsT>::run(bool AdjacencyPrebuilt) {
   }
 
   {
-    // The undirected DFS phase: adjacency CSR, the DFS itself, and the
-    // backedge push/delete-site classification it feeds.
+    // The undirected DFS phase: the DFS itself and the backedge
+    // push/delete-site classification it feeds.
     PST_SPAN("cycleequiv.dfs");
-    if (!AdjacencyPrebuilt)
-      buildAdjacency();
     undirectedDfs(Root < numNodes() ? Root : 0);
     classifyEdges();
   }
@@ -493,8 +450,8 @@ CycleEquivResult CycleEquivSolver<EndpointsT>::run(bool AdjacencyPrebuilt) {
 
 /// Writes the undirected incidence CSR for G + (exit -> entry) straight
 /// from the view's succ/pred CSR. Each node's incident real edges are the
-/// ascending-edge-id merge of its succ and pred segments — exactly the
-/// order the counting-pass builder produces — with self loops skipped
+/// ascending-edge-id merge of its succ and pred segments, with self loops
+/// skipped
 /// (collected in global edge order into S.SelfLoops) and the return edge,
 /// whose id is the largest, appended at entry and exit. One pass over the
 /// nodes, no counting pass, no cursor array.
@@ -618,21 +575,6 @@ void buildTsAdjacency(const CfgView &V, CycleEquivScratch &S) {
 
 } // namespace
 
-CycleEquivResult pst::computeCycleEquivalenceRaw(
-    const UndirectedGraphView &View) {
-  CycleEquivScratch Scratch;
-  return computeCycleEquivalenceRaw(View, Scratch);
-}
-
-CycleEquivResult pst::computeCycleEquivalenceRaw(
-    const UndirectedGraphView &View, CycleEquivScratch &Scratch) {
-  PairEndpoints Ep{View.Endpoints.data()};
-  CycleEquivSolver<PairEndpoints> Solver(
-      View.NumNodes, View.Root,
-      static_cast<uint32_t>(View.Endpoints.size()), Ep, Scratch);
-  return Solver.run(/*AdjacencyPrebuilt=*/false);
-}
-
 CycleEquivResult pst::computeCycleEquivalence(const CfgView &V,
                                               bool AddReturnEdge,
                                               CycleEquivScratch &Scratch) {
@@ -643,7 +585,7 @@ CycleEquivResult pst::computeCycleEquivalence(const CfgView &V,
   NodeId Root = V.entry() != InvalidNode ? V.entry() : 0;
   CycleEquivSolver<ViewEndpoints> Solver(V.numNodes(), Root, NumReal, Ep,
                                          Scratch);
-  CycleEquivResult R = Solver.run(/*AdjacencyPrebuilt=*/true);
+  CycleEquivResult R = Solver.run();
   R.HasReturnEdge = AddReturnEdge;
   return R;
 }
@@ -656,40 +598,11 @@ CycleEquivResult pst::computeCycleEquivalenceTs(const CfgView &V,
   uint32_t NumReal = V.numNodes() + V.numEdges() + 1;
   CycleEquivSolver<TsEndpoints> Solver(2 * V.numNodes(), 2 * V.entry(),
                                        NumReal, Ep, Scratch);
-  return Solver.run(/*AdjacencyPrebuilt=*/true);
+  return Solver.run();
 }
 
-namespace {
-
-CycleEquivResult runOnView(const Cfg &G, bool AddReturnEdge,
-                           UndirectedGraphView &View,
-                           CycleEquivScratch *Scratch) {
-  View.NumNodes = G.numNodes();
-  View.Root = G.entry() != InvalidNode ? G.entry() : 0;
-  View.Endpoints.clear();
-  View.Endpoints.reserve(G.numEdges() + (AddReturnEdge ? 1 : 0));
-  for (EdgeId E = 0; E < G.numEdges(); ++E)
-    View.Endpoints.emplace_back(G.source(E), G.target(E));
-  if (AddReturnEdge)
-    View.Endpoints.emplace_back(G.exit(), G.entry());
-  CycleEquivResult R = Scratch ? computeCycleEquivalenceRaw(View, *Scratch)
-                               : computeCycleEquivalenceRaw(View);
-  R.HasReturnEdge = AddReturnEdge;
-  return R;
-}
-
-} // namespace
-
-CycleEquivResult pst::computeCycleEquivalence(const Cfg &G,
+CycleEquivResult pst::computeCycleEquivalence(const CfgView &V,
                                               bool AddReturnEdge) {
-  UndirectedGraphView View;
-  return runOnView(G, AddReturnEdge, View, nullptr);
-}
-
-CycleEquivResult CycleEquivEngine::run(const Cfg &G, bool AddReturnEdge) {
-  return runOnView(G, AddReturnEdge, View, &Solver);
-}
-
-CycleEquivResult CycleEquivEngine::run(const CfgView &V, bool AddReturnEdge) {
-  return computeCycleEquivalence(V, AddReturnEdge, Solver);
+  CycleEquivScratch Scratch;
+  return computeCycleEquivalence(V, AddReturnEdge, Scratch);
 }

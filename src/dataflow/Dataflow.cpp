@@ -15,11 +15,8 @@
 
 using namespace pst;
 
-namespace {
-
-template <class GraphT>
-DataflowSolution solveIterativeImpl(const GraphT &G,
-                                    const BitVectorProblem &P) {
+DataflowSolution pst::solveIterative(const CfgView &G,
+                                     const BitVectorProblem &P) {
   PST_SPAN("dataflow.solve_iterative");
   uint32_t N = G.numNodes();
   DataflowSolution S;
@@ -62,18 +59,6 @@ DataflowSolution solveIterativeImpl(const GraphT &G,
   PST_COUNTER("dataflow.iterative_passes", Passes);
   PST_VALUE("dataflow.passes_per_solve", Passes);
   return S;
-}
-
-} // namespace
-
-DataflowSolution pst::solveIterative(const Cfg &G,
-                                     const BitVectorProblem &P) {
-  return solveIterativeImpl(G, P);
-}
-
-DataflowSolution pst::solveIterative(const CfgView &V,
-                                     const BitVectorProblem &P) {
-  return solveIterativeImpl(V, P);
 }
 
 BitVectorProblem pst::reverseProblem(const BitVectorProblem &P) {
@@ -147,12 +132,9 @@ BodySolution solveBody(const CollapsedBody &B, const BitVectorProblem &P,
 
 } // namespace
 
-namespace {
-
-template <class GraphT>
-DataflowSolution solveEliminationImpl(const GraphT &G,
-                                      const ProgramStructureTree &T,
-                                      const BitVectorProblem &P) {
+DataflowSolution pst::solveElimination(const CfgView &G,
+                                       const ProgramStructureTree &T,
+                                       const BitVectorProblem &P) {
   PST_SPAN("dataflow.solve_elimination");
   PST_COUNTER("dataflow.elimination_solves", 1);
   uint32_t NumRegions = T.numRegions();
@@ -214,18 +196,4 @@ DataflowSolution solveEliminationImpl(const GraphT &G,
     }
   }
   return S;
-}
-
-} // namespace
-
-DataflowSolution pst::solveElimination(const Cfg &G,
-                                       const ProgramStructureTree &T,
-                                       const BitVectorProblem &P) {
-  return solveEliminationImpl(G, T, P);
-}
-
-DataflowSolution pst::solveElimination(const CfgView &V,
-                                       const ProgramStructureTree &T,
-                                       const BitVectorProblem &P) {
-  return solveEliminationImpl(V, T, P);
 }

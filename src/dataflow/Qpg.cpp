@@ -33,9 +33,10 @@ std::vector<bool> markOpaqueRegions(uint32_t NumNodes,
   return Marked;
 }
 
-template <class GraphT>
-Qpg buildQpgImpl(const GraphT &G, const ProgramStructureTree &T,
-                 const BitVectorProblem &P) {
+} // namespace
+
+Qpg pst::buildQpg(const CfgView &G, const ProgramStructureTree &T,
+                  const BitVectorProblem &P) {
   PST_SPAN("dataflow.qpg_build");
   std::vector<bool> Opaque = markOpaqueRegions(G.numNodes(), T, P);
 
@@ -86,11 +87,10 @@ Qpg buildQpgImpl(const GraphT &G, const ProgramStructureTree &T,
   return Q;
 }
 
-template <class GraphT>
-EdgeSolution solveOnQpgImpl(const GraphT &G, const ProgramStructureTree &T,
-                            const BitVectorProblem &P, Qpg *OutQpg) {
+EdgeSolution pst::solveOnQpg(const CfgView &G, const ProgramStructureTree &T,
+                             const BitVectorProblem &P, Qpg *OutQpg) {
   PST_SPAN("dataflow.qpg_solve");
-  Qpg Q = buildQpgImpl(G, T, P);
+  Qpg Q = buildQpg(G, T, P);
 
   // Iterate on the QPG: In[q] = meet of Out over incoming edges' sources;
   // the value carried by a QPG edge is Out[source].
@@ -180,29 +180,7 @@ EdgeSolution solveOnQpgImpl(const GraphT &G, const ProgramStructureTree &T,
   return S;
 }
 
-} // namespace
-
-Qpg pst::buildQpg(const Cfg &G, const ProgramStructureTree &T,
-                  const BitVectorProblem &P) {
-  return buildQpgImpl(G, T, P);
-}
-
-Qpg pst::buildQpg(const CfgView &V, const ProgramStructureTree &T,
-                  const BitVectorProblem &P) {
-  return buildQpgImpl(V, T, P);
-}
-
-EdgeSolution pst::solveOnQpg(const Cfg &G, const ProgramStructureTree &T,
-                             const BitVectorProblem &P, Qpg *OutQpg) {
-  return solveOnQpgImpl(G, T, P, OutQpg);
-}
-
-EdgeSolution pst::solveOnQpg(const CfgView &V, const ProgramStructureTree &T,
-                             const BitVectorProblem &P, Qpg *OutQpg) {
-  return solveOnQpgImpl(V, T, P, OutQpg);
-}
-
-EdgeSolution pst::edgeView(const Cfg &G, const DataflowSolution &S) {
+EdgeSolution pst::edgeView(const CfgView &G, const DataflowSolution &S) {
   EdgeSolution E;
   E.EdgeValue.reserve(G.numEdges());
   for (EdgeId Ed = 0; Ed < G.numEdges(); ++Ed)

@@ -14,11 +14,8 @@
 
 using namespace pst;
 
-namespace {
-
-template <class GraphT>
-Seg buildSegImpl(const GraphT &G, const DomTree &DT,
-                 const DominanceFrontiers &DF, const BitVectorProblem &P) {
+Seg pst::buildSeg(const CfgView &G, const DomTree &DT,
+                  const DominanceFrontiers &DF, const BitVectorProblem &P) {
   PST_SPAN("dataflow.seg_build");
   (void)DT; // The tree is only needed to build DF; kept for symmetry.
   uint32_t N = G.numNodes();
@@ -122,12 +119,11 @@ Seg buildSegImpl(const GraphT &G, const DomTree &DT,
   return S;
 }
 
-template <class GraphT>
-DataflowSolution solveOnSegImpl(const GraphT &G, const DomTree &DT,
-                                const DominanceFrontiers &DF,
-                                const BitVectorProblem &P, Seg *OutSeg) {
+DataflowSolution pst::solveOnSeg(const CfgView &G, const DomTree &DT,
+                                 const DominanceFrontiers &DF,
+                                 const BitVectorProblem &P, Seg *OutSeg) {
   PST_SPAN("dataflow.seg_solve");
-  Seg S = buildSegImpl(G, DT, DF, P);
+  Seg S = buildSeg(G, DT, DF, P);
   uint32_t M = S.numNodes();
   std::vector<BitVector> In(M, P.top()), Out(M, P.top());
   In[0] = P.Boundary;
@@ -180,28 +176,4 @@ DataflowSolution solveOnSegImpl(const GraphT &G, const DomTree &DT,
   if (OutSeg)
     *OutSeg = std::move(S);
   return R;
-}
-
-} // namespace
-
-Seg pst::buildSeg(const Cfg &G, const DomTree &DT,
-                  const DominanceFrontiers &DF, const BitVectorProblem &P) {
-  return buildSegImpl(G, DT, DF, P);
-}
-
-Seg pst::buildSeg(const CfgView &V, const DomTree &DT,
-                  const DominanceFrontiers &DF, const BitVectorProblem &P) {
-  return buildSegImpl(V, DT, DF, P);
-}
-
-DataflowSolution pst::solveOnSeg(const Cfg &G, const DomTree &DT,
-                                 const DominanceFrontiers &DF,
-                                 const BitVectorProblem &P, Seg *OutSeg) {
-  return solveOnSegImpl(G, DT, DF, P, OutSeg);
-}
-
-DataflowSolution pst::solveOnSeg(const CfgView &V, const DomTree &DT,
-                                 const DominanceFrontiers &DF,
-                                 const BitVectorProblem &P, Seg *OutSeg) {
-  return solveOnSegImpl(V, DT, DF, P, OutSeg);
 }

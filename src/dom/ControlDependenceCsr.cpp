@@ -10,8 +10,9 @@
 
 using namespace pst;
 
-template <class GraphT>
-void ControlDependenceCsr::init(const GraphT &G, const DomTree &Pdt) {
+ControlDependenceCsr::ControlDependenceCsr(const CfgView &G,
+                                           const DomTree &Pdt) {
+  assert(G.numNodes() == Pdt.numNodes() && "postdom tree of a different graph");
   const uint32_t N = G.numNodes();
   Off.assign(N + 1, 0);
 
@@ -46,15 +47,4 @@ void ControlDependenceCsr::init(const GraphT &G, const DomTree &Pdt) {
     for (NodeId R = M; R != Stop && R != InvalidNode; R = Pdt.idom(R))
       Edges[Cursor[R]++] = E;
   }
-}
-
-ControlDependenceCsr::ControlDependenceCsr(const Cfg &G, const DomTree &Pdt) {
-  assert(G.numNodes() == Pdt.numNodes() && "postdom tree of a different graph");
-  init(G, Pdt);
-}
-
-ControlDependenceCsr::ControlDependenceCsr(const CfgView &V,
-                                           const DomTree &Pdt) {
-  assert(V.numNodes() == Pdt.numNodes() && "postdom tree of a different graph");
-  init(V, Pdt);
 }

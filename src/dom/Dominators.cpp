@@ -93,8 +93,6 @@ template <class GraphT> DomTree DomTree::buildIterativeImpl(const GraphT &G) {
   return T;
 }
 
-DomTree DomTree::buildIterative(const Cfg &G) { return buildIterativeImpl(G); }
-
 DomTree DomTree::buildIterative(const CfgView &V) {
   return buildIterativeImpl(V);
 }
@@ -147,7 +145,7 @@ private:
 
 } // namespace
 
-template <class GraphT> DomTree DomTree::buildLengauerTarjanImpl(const GraphT &G) {
+DomTree DomTree::buildLengauerTarjan(const CfgView &G) {
   DomTree T;
   T.Root = G.entry();
   uint32_t N = G.numNodes();
@@ -207,18 +205,6 @@ template <class GraphT> DomTree DomTree::buildLengauerTarjanImpl(const GraphT &G
   return T;
 }
 
-DomTree DomTree::buildLengauerTarjan(const Cfg &G) {
-  return buildLengauerTarjanImpl(G);
-}
-
-DomTree DomTree::buildLengauerTarjan(const CfgView &V) {
-  return buildLengauerTarjanImpl(V);
-}
-
-DomTree DomTree::buildPostDom(const Cfg &G) {
-  return buildIterative(reverseCfg(G));
-}
-
 DomTree DomTree::buildPostDom(const CfgView &V) {
   return buildIterativeImpl(ReversedCfgView(V));
 }
@@ -233,8 +219,7 @@ DomTree DomTree::fromIdom(NodeId Root, std::vector<NodeId> Idom) {
   return T;
 }
 
-template <class GraphT>
-void DominanceFrontiers::init(const GraphT &G, const DomTree &DT) {
+DominanceFrontiers::DominanceFrontiers(const CfgView &G, const DomTree &DT) {
   uint32_t N = G.numNodes();
   DF.assign(N, {});
   for (NodeId M = 0; M < N; ++M) {
@@ -255,14 +240,6 @@ void DominanceFrontiers::init(const GraphT &G, const DomTree &DT) {
     std::sort(F.begin(), F.end());
     F.erase(std::unique(F.begin(), F.end()), F.end());
   }
-}
-
-DominanceFrontiers::DominanceFrontiers(const Cfg &G, const DomTree &DT) {
-  init(G, DT);
-}
-
-DominanceFrontiers::DominanceFrontiers(const CfgView &V, const DomTree &DT) {
-  init(V, DT);
 }
 
 std::vector<NodeId>

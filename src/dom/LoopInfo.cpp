@@ -13,7 +13,7 @@
 
 using namespace pst;
 
-template <class GraphT> void LoopInfo::init(const GraphT &G, const DomTree &DT) {
+LoopInfo::LoopInfo(const CfgView &G, const DomTree &DT) {
   uint32_t N = G.numNodes();
   NodeLoop.assign(N, InvalidLoop);
 
@@ -110,7 +110,3 @@ template <class GraphT> void LoopInfo::init(const GraphT &G, const DomTree &DT) 
         NodeLoop[V] = L;
   }
 }
-
-LoopInfo::LoopInfo(const Cfg &G, const DomTree &DT) { init(G, DT); }
-
-LoopInfo::LoopInfo(const CfgView &V, const DomTree &DT) { init(V, DT); }

@@ -15,8 +15,8 @@ using namespace pst;
 
 namespace {
 
-// Shared by the Cfg and CfgView overloads: both graph types expose the same
-// read API, and the template guarantees the traversal orders cannot diverge.
+// Shared by the forward and reversed views: both expose the same read API,
+// and the template guarantees the traversal orders cannot diverge.
 template <class GraphT> DfsResult dfsImpl(const GraphT &G, NodeId Root) {
   DfsResult R;
   uint32_t N = G.numNodes();
@@ -53,10 +53,6 @@ template <class GraphT> DfsResult dfsImpl(const GraphT &G, NodeId Root) {
 }
 
 } // namespace
-
-DfsResult pst::depthFirstSearch(const Cfg &G, NodeId Root) {
-  return dfsImpl(G, Root);
-}
 
 DfsResult pst::depthFirstSearch(const CfgView &G, NodeId Root) {
   return dfsImpl(G, Root);
@@ -108,12 +104,6 @@ std::vector<bool> pst::reachesTo(const Cfg &G, NodeId Target) {
 
 bool pst::existsPathBetween(const Cfg &G, NodeId From, NodeId To) {
   return reachableFrom(G, From)[To];
-}
-
-std::vector<NodeId> pst::reversePostOrder(const Cfg &G) {
-  DfsResult R = depthFirstSearch(G, G.entry());
-  std::vector<NodeId> RPO(R.Postorder.rbegin(), R.Postorder.rend());
-  return RPO;
 }
 
 std::vector<NodeId> pst::reversePostOrder(const CfgView &G) {
@@ -236,11 +226,7 @@ Cfg pst::simplifyCfg(const Cfg &G) {
   return Out;
 }
 
-namespace {
-
-// Shared by the Cfg and CfgView overloads: the test only reads
-// numNodes/numEdges/source/target/entry, which both graph types expose.
-template <class GraphT> bool isReducibleImpl(const GraphT &G) {
+bool pst::isReducible(const CfgView &G) {
   // Work on an adjacency-set representation we can mutate. Parallel edges
   // collapse (they do not affect reducibility).
   uint32_t N = G.numNodes();
@@ -296,12 +282,6 @@ template <class GraphT> bool isReducibleImpl(const GraphT &G) {
   }
   return AliveCount == 1;
 }
-
-} // namespace
-
-bool pst::isReducible(const Cfg &G) { return isReducibleImpl(G); }
-
-bool pst::isReducible(const CfgView &G) { return isReducibleImpl(G); }
 
 SubCfg pst::extractRegionSubCfg(const Cfg &G,
                                 const std::vector<NodeId> &BodyNodes,

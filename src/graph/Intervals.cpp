@@ -11,11 +11,7 @@
 
 using namespace pst;
 
-namespace {
-
-/// Shared kernel of the Cfg and CfgView overloads; both traverse the same
-/// edge lists in the same order, so the partitions come out identical.
-template <class GraphT> IntervalPartition computeIntervalsImpl(const GraphT &G) {
+IntervalPartition pst::computeIntervals(const CfgView &G) {
   IntervalPartition P;
   uint32_t N = G.numNodes();
   P.IntervalOf.assign(N, UINT32_MAX);
@@ -77,16 +73,6 @@ template <class GraphT> IntervalPartition computeIntervalsImpl(const GraphT &G) 
   return P;
 }
 
-} // namespace
-
-IntervalPartition pst::computeIntervals(const Cfg &G) {
-  return computeIntervalsImpl(G);
-}
-
-IntervalPartition pst::computeIntervals(const CfgView &V) {
-  return computeIntervalsImpl(V);
-}
-
 Cfg pst::derivedGraph(const Cfg &G, const IntervalPartition &P) {
   Cfg D;
   for (const auto &I : P.Intervals)
@@ -114,7 +100,7 @@ Cfg pst::limitGraph(const Cfg &G, uint32_t *Steps) {
   Cfg Cur = G;
   uint32_t Count = 0;
   while (true) {
-    IntervalPartition P = computeIntervals(Cur);
+    IntervalPartition P = computeIntervals(FrozenCfg(Cur));
     if (P.Intervals.size() == Cur.numNodes())
       break; // Fixed point: no interval absorbed anything.
     Cur = derivedGraph(Cur, P);

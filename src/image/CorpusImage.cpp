@@ -173,11 +173,18 @@ void fillFunctionSlices(uint8_t *const Sec[NumSections],
          "fill disagrees with the recorded shape");
   (void)StrBytesExpected;
 
-  auto Copy32 = [&](SectionKind K, uint64_t Base, const uint32_t *Src,
-                    uint64_t Count) {
-    std::memcpy(Sec[uint32_t(K)] + (Base - Bias[uint32_t(K)]) * 4, Src,
-                Count * 4);
+  // Zero-length copies are skipped entirely: an empty array's data()
+  // may be null (the child table of a root-only tree, say), and memcpy
+  // requires valid pointers even for zero bytes.
+  auto Copy = [&](SectionKind K, uint64_t Base, uint64_t ElemBytes,
+                  const void *Src, uint64_t Count) {
+    if (Count == 0)
+      return;
+    std::memcpy(Sec[uint32_t(K)] + (Base - Bias[uint32_t(K)]) * ElemBytes,
+                Src, Count * ElemBytes);
   };
+  auto Copy32 = [&](SectionKind K, uint64_t Base, const uint32_t *Src,
+                    uint64_t Count) { Copy(K, Base, 4, Src, Count); };
   Copy32(SectionKind::SuccOff, F.CsrBase, V.succOff(), N + 1);
   Copy32(SectionKind::PredOff, F.CsrBase, V.predOff(), N + 1);
   Copy32(SectionKind::SuccEdge, F.EdgeBase, V.succEdge(), E);
@@ -187,10 +194,8 @@ void fillFunctionSlices(uint8_t *const Sec[NumSections],
   Copy32(SectionKind::EdgeSrc, F.EdgeBase, V.edgeSrc(), E);
   Copy32(SectionKind::EdgeDst, F.EdgeBase, V.edgeDst(), E);
 
-  std::memcpy(Sec[uint32_t(SectionKind::Regions)] +
-                  (F.RegionBase - Bias[uint32_t(SectionKind::Regions)]) *
-                      sizeof(SeseRegion),
-              T.regionTable().data(), R * sizeof(SeseRegion));
+  Copy(SectionKind::Regions, F.RegionBase, sizeof(SeseRegion),
+       T.regionTable().data(), R);
   Copy32(SectionKind::NodeRegion, F.NodeBase, T.nodeRegionTable().data(), N);
   Copy32(SectionKind::EdgeRegion, F.EdgeBase, T.edgeRegionTable().data(), E);
   Copy32(SectionKind::EntryOf, F.EdgeBase, T.entryOfTable().data(), E);
@@ -209,13 +214,15 @@ void fillFunctionSlices(uint8_t *const Sec[NumSections],
   // `At` stays an absolute StrTab offset — the *stored* label offsets are
   // absolute regardless of where the bytes are being staged.
   uint64_t At = F.NameOff;
-  std::memcpy(Str + (At - StrBias), Name.data(), Name.size());
-  At += Name.size() + 1; // Storage is zeroed, so the NUL is already there.
+  auto CopyString = [&](std::string_view S) {
+    if (!S.empty())
+      std::memcpy(Str + (At - StrBias), S.data(), S.size());
+    At += S.size() + 1; // Storage is zeroed, so the NUL is already there.
+  };
+  CopyString(Name);
   for (NodeId Nd = 0; Nd < N; ++Nd) {
-    const std::string &L = G.node(Nd).Label;
     LabelOff[Nd] = At;
-    std::memcpy(Str + (At - StrBias), L.data(), L.size());
-    At += L.size() + 1;
+    CopyString(G.node(Nd).Label);
   }
   assert(At == F.NameOff + StrBytesExpected && "string bytes drifted");
 }

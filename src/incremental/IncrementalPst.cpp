@@ -355,9 +355,8 @@ bool IncrementalPst::rebuildSubtree(RegionId D,
                                    Regions[D].ExitEdge, &DG.deadEdges());
   if (Sub.BoundaryViolation)
     return false;
-  ProgramStructureTree SubT =
-      ProgramStructureTree::buildWithCycleEquiv(Sub.Graph,
-                                                CeEngine.run(Sub.Graph));
+  ProgramStructureTree SubT = ProgramStructureTree::build(
+      CfgView::build(Sub.Graph, ViewScratch), BuildScratch);
 
   ++Stats.SubtreesRebuilt;
   Stats.NodesReprocessed += Body.size();
@@ -470,8 +469,8 @@ void IncrementalPst::fullRebuild() {
   PST_SPAN_ARG("incremental.full_rebuild", "batch", Stats.Commits);
   std::vector<EdgeId> GlobalOf;
   Cfg M = DG.materialize(&GlobalOf);
-  ProgramStructureTree T =
-      ProgramStructureTree::buildWithCycleEquiv(M, CeEngine.run(M));
+  ProgramStructureTree T = ProgramStructureTree::build(
+      CfgView::build(M, ViewScratch), BuildScratch);
 
   Regions.assign(T.numRegions(), Slot{});
   FreeSlots.clear();
@@ -563,7 +562,7 @@ bool IncrementalPst::equalsFromScratch(std::string *Why) const {
 
   std::vector<EdgeId> GlobalOf;
   Cfg M = DG.materialize(&GlobalOf);
-  ProgramStructureTree T = ProgramStructureTree::build(M);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(M));
 
   if (T.numRegions() != NumLive)
     return Fail("region count: from-scratch " +

@@ -28,12 +28,12 @@ RegionProfile::RegionProfile(const LoweredFunction &Fn,
 }
 
 void RegionProfile::computeShapes() {
-  const Cfg &G = F->Graph;
+  FrozenCfg V(F->Graph);
   Shapes.resize(T->numRegions());
   for (RegionId R = 0; R < T->numRegions(); ++R) {
     RegionShape &S = Shapes[R];
-    S.Body = collapseRegion(G, *T, R);
-    S.Kind = classifyRegion(G, *T, R);
+    S.Body = collapseRegion(V, *T, R);
+    S.Kind = classifyRegion(V, *T, R);
 
     // Classify the quotient edges by an iterative three-color DFS from the
     // entry node (unvisited quotient nodes, if any, seed follow-up walks in

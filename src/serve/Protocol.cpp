@@ -59,6 +59,31 @@ ParsedLine invalid(std::string Msg) {
   return L;
 }
 
+/// Reads one '\n'-terminated line into \p Line, keeping at most
+/// MaxLineBytes bytes: the excess of a longer line is consumed and
+/// dropped, and \p Overlong is set. Returns false at end of input with
+/// nothing read (a final unterminated line still counts as a line).
+bool readBoundedLine(std::istream &In, std::string &Line, bool &Overlong) {
+  Line.clear();
+  Overlong = false;
+  std::streambuf *Buf = In.rdbuf();
+  bool ReadAny = false;
+  for (;;) {
+    int C = Buf->sbumpc();
+    if (C == std::char_traits<char>::eof()) {
+      In.setstate(std::ios::eofbit);
+      return ReadAny;
+    }
+    ReadAny = true;
+    if (C == '\n')
+      return true;
+    if (Line.size() < MaxLineBytes)
+      Line.push_back(static_cast<char>(C));
+    else
+      Overlong = true;
+  }
+}
+
 } // namespace
 
 ParsedLine pst::serve::parseLine(std::string_view Line) {
@@ -276,8 +301,11 @@ std::string ServerSession::runBarrier(const ParsedLine &L) {
 
 void ServerSession::run(std::istream &In, std::ostream &Out) {
   std::string Line;
-  while (std::getline(In, Line)) {
-    ParsedLine L = parseLine(Line);
+  bool Overlong = false;
+  while (readBoundedLine(In, Line, Overlong)) {
+    ParsedLine L = Overlong ? invalid("line exceeds " +
+                                      std::to_string(MaxLineBytes) + " bytes")
+                            : parseLine(Line);
     switch (L.Kind) {
     case ParsedLine::Type::Empty:
       continue;

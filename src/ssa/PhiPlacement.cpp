@@ -15,10 +15,8 @@
 
 using namespace pst;
 
-namespace {
-
-template <class GraphT>
-PhiPlacement placePhisClassicImpl(const LoweredFunction &F, const GraphT &G) {
+PhiPlacement pst::placePhisClassic(const LoweredFunction &F,
+                                   const CfgView &G) {
   PST_SPAN("ssa.phi_classic");
   PST_COUNTER("ssa.classic_placements", 1);
   DomTree DT = DomTree::buildIterative(G);
@@ -42,6 +40,8 @@ PhiPlacement placePhisClassicImpl(const LoweredFunction &F, const GraphT &G) {
   return P;
 }
 
+namespace {
+
 /// Per-region quotient machinery cached across variables: the collapsed
 /// body as a CFG with a virtual entry (so dominators are rooted), its
 /// dominance frontiers, and the quotient-node meanings.
@@ -52,8 +52,7 @@ struct RegionSolver {
   std::optional<DomTree> DT;
   std::optional<DominanceFrontiers> DF;
 
-  template <class GraphT>
-  void build(const GraphT &G, const ProgramStructureTree &T, RegionId R) {
+  void build(const CfgView &G, const ProgramStructureTree &T, RegionId R) {
     Body = collapseRegion(G, T, R);
     for (uint32_t I = 0; I < Body.numNodes(); ++I)
       Q.addNode();
@@ -65,14 +64,16 @@ struct RegionSolver {
     Q.addEdge(Body.ExitQ, VirtualExit);
     Q.setEntry(VirtualEntry);
     Q.setExit(VirtualExit);
-    DT.emplace(DomTree::buildIterative(Q));
-    DF.emplace(Q, *DT);
+    FrozenCfg QV(Q);
+    DT.emplace(DomTree::buildIterative(QV));
+    DF.emplace(QV, *DT);
   }
 };
 
-template <class GraphT>
-PhiPlacement placePhisPstImpl(const LoweredFunction &F, const GraphT &G,
-                              const ProgramStructureTree &T) {
+} // namespace
+
+PhiPlacement pst::placePhisPst(const LoweredFunction &F, const CfgView &G,
+                               const ProgramStructureTree &T) {
   PST_SPAN("ssa.phi_pst");
   PST_COUNTER("ssa.pst_placements", 1);
   uint32_t NumRegions = T.numRegions();
@@ -153,25 +154,4 @@ PhiPlacement placePhisPstImpl(const LoweredFunction &F, const GraphT &G,
     P.PhiBlocks[V] = std::move(Phis);
   }
   return P;
-}
-
-} // namespace
-
-PhiPlacement pst::placePhisClassic(const LoweredFunction &F) {
-  return placePhisClassicImpl(F, F.Graph);
-}
-
-PhiPlacement pst::placePhisClassic(const LoweredFunction &F,
-                                   const CfgView &V) {
-  return placePhisClassicImpl(F, V);
-}
-
-PhiPlacement pst::placePhisPst(const LoweredFunction &F,
-                               const ProgramStructureTree &T) {
-  return placePhisPstImpl(F, F.Graph, T);
-}
-
-PhiPlacement pst::placePhisPst(const LoweredFunction &F, const CfgView &V,
-                               const ProgramStructureTree &T) {
-  return placePhisPstImpl(F, V, T);
 }

@@ -17,7 +17,7 @@ using namespace pst;
 SsaForm pst::buildSsa(const LoweredFunction &F, const PhiPlacement &P) {
   const Cfg &G = F.Graph;
   uint32_t N = G.numNodes();
-  DomTree DT = DomTree::buildIterative(G);
+  DomTree DT = DomTree::buildIterative(FrozenCfg(G));
 
   SsaForm S;
   S.Phis.resize(N);
@@ -106,7 +106,7 @@ bool pst::verifySsa(const LoweredFunction &F, const SsaForm &S,
       *Why = std::move(Msg);
     return false;
   };
-  DomTree DT = DomTree::buildIterative(G);
+  DomTree DT = DomTree::buildIterative(FrozenCfg(G));
 
   // Collect each version's defining block; detect double definitions.
   // DefBlock[v][k] = block defining version k (entry for version 0).

@@ -75,8 +75,9 @@ std::vector<Cfg> mixedCorpus() {
 /// The scratch-less reference pipeline the batch engine must reproduce.
 FunctionAnalysis referenceAnalysis(const Cfg &G) {
   FunctionAnalysis A;
-  A.Pst = ProgramStructureTree::build(G);
-  A.ControlRegions = computeControlRegionsLinearImplicit(G);
+  FrozenCfg V(G);
+  A.Pst = ProgramStructureTree::build(V);
+  A.ControlRegions = computeControlRegionsLinearImplicit(V);
   return A;
 }
 
@@ -190,7 +191,8 @@ TEST(BatchAnalyzerTest, ControlRegionsCanBeDisabled) {
     EXPECT_EQ(Got[I].ControlRegions.NumClasses, 0u);
     EXPECT_TRUE(Got[I].ControlRegions.NodeClass.empty());
     EXPECT_EQ(formatPst(Corpus[I], Got[I].Pst),
-              formatPst(Corpus[I], ProgramStructureTree::build(Corpus[I])));
+              formatPst(Corpus[I],
+                        ProgramStructureTree::build(FrozenCfg(Corpus[I]))));
   }
 }
 

@@ -24,7 +24,7 @@ TEST(ControlDependence, DiamondArms) {
   // Nodes: entry 0, cond 1, then 2, else 3, join 4, exit 5.
   // Edges: 0: entry->cond, 1: cond->then, 2: cond->else, 3: then->join,
   //        4: else->join, 5: join->exit.
-  ControlDependence CD(G);
+  ControlDependence CD{FrozenCfg(G)};
   EXPECT_EQ(CD.dependences(2), (std::vector<EdgeId>{1}));
   EXPECT_EQ(CD.dependences(3), (std::vector<EdgeId>{2}));
   EXPECT_TRUE(CD.dependences(0).empty());
@@ -40,7 +40,7 @@ TEST(ControlDependence, LoopSelfDependence) {
   // Nodes: entry 0, exit 1, head 2, body 3, after 4.
   // Edges: 0: entry->head, 1: head->body, 2: body->head, 3: head->after,
   //        4: after->exit.
-  ControlDependence CD(G);
+  ControlDependence CD{FrozenCfg(G)};
   // The loop header controls itself and its body through head->body.
   EXPECT_EQ(CD.dependences(2), (std::vector<EdgeId>{1}));
   EXPECT_EQ(CD.dependences(3), (std::vector<EdgeId>{1}));
@@ -84,7 +84,7 @@ TEST(NodeExpand, SelfLoopBecomesTwoCycle) {
 
 TEST(ControlRegions, DiamondPartition) {
   Cfg G = diamondLadderCfg(1);
-  ControlRegionsResult R = computeControlRegionsLinear(G);
+  ControlRegionsResult R = computeControlRegionsLinear(FrozenCfg(G));
   // {entry, cond, join, exit} / {then} / {else}.
   EXPECT_EQ(R.NumClasses, 3u);
   EXPECT_EQ(R.NodeClass[0], R.NodeClass[1]);
@@ -115,7 +115,7 @@ bool refines(const std::vector<uint32_t> &Fine,
 
 TEST(ControlRegions, WhileLoopStrongPartition) {
   Cfg G = nestedWhileCfg(1);
-  ControlRegionsResult R = computeControlRegionsLinear(G);
+  ControlRegionsResult R = computeControlRegionsLinear(FrozenCfg(G));
   // Strong (execution-count) regions: {entry, after, exit} / {head} /
   // {body}: the header runs once more than the body, and the cycle
   // entry->head->after->exit->entry contains head but not body.
@@ -131,8 +131,9 @@ TEST(ControlRegions, WhileLoopWeakVsStrongErratum) {
   // body, while cycle equivalence (what the paper's algorithm computes)
   // separates them.
   Cfg G = nestedWhileCfg(1);
-  ControlRegionsResult Weak = computeControlRegionsFOW(G);
-  ControlRegionsResult Strong = computeControlRegionsLinear(G);
+  FrozenCfg V(G);
+  ControlRegionsResult Weak = computeControlRegionsFOW(V);
+  ControlRegionsResult Strong = computeControlRegionsLinear(V);
   EXPECT_EQ(Weak.NodeClass[2], Weak.NodeClass[3]);   // head ~ body weakly.
   EXPECT_NE(Strong.NodeClass[2], Strong.NodeClass[3]);
   EXPECT_TRUE(refines(Strong.NodeClass, Weak.NodeClass));
@@ -142,9 +143,10 @@ TEST(ControlRegions, BaselinesAgreeAndStrongRefinesWeakOnClassics) {
   for (const Cfg &G :
        {chainCfg(4), diamondLadderCfg(3), nestedWhileCfg(3),
         nestedRepeatUntilCfg(3), irreducibleCfg(2), paperFigure1Cfg()}) {
-    ControlRegionsResult L = computeControlRegionsLinear(G);
-    ControlRegionsResult F = computeControlRegionsFOW(G);
-    ControlRegionsResult P = computeControlRegionsRefinement(G);
+    FrozenCfg V(G);
+    ControlRegionsResult L = computeControlRegionsLinear(V);
+    ControlRegionsResult F = computeControlRegionsFOW(V);
+    ControlRegionsResult P = computeControlRegionsRefinement(V);
     // The two Definition-8 baselines must agree exactly...
     EXPECT_EQ(canonicalizePartition(F.NodeClass),
               canonicalizePartition(P.NodeClass));
@@ -170,12 +172,13 @@ TEST_P(ControlRegionsRandomTest, LinearMatchesBruteAndRefinesWeak) {
   Cfg G = randomBackboneCfg(R, Opts);
   ASSERT_TRUE(validateCfg(G));
 
-  auto L = canonicalizePartition(computeControlRegionsLinear(G).NodeClass);
+  FrozenCfg V(G);
+  auto L = canonicalizePartition(computeControlRegionsLinear(V).NodeClass);
   auto LI = canonicalizePartition(
-      computeControlRegionsLinearImplicit(G).NodeClass);
-  auto F = canonicalizePartition(computeControlRegionsFOW(G).NodeClass);
+      computeControlRegionsLinearImplicit(V).NodeClass);
+  auto F = canonicalizePartition(computeControlRegionsFOW(V).NodeClass);
   auto P =
-      canonicalizePartition(computeControlRegionsRefinement(G).NodeClass);
+      canonicalizePartition(computeControlRegionsRefinement(V).NodeClass);
   auto B =
       canonicalizePartition(computeNodeCycleEquivalenceBrute(G).NodeClass);
   EXPECT_EQ(L, B) << "seed " << Seed;
@@ -202,8 +205,9 @@ TEST_P(ControlRegionsDagTest, AgreesForwardOnly) {
   Opts.SelfLoopProb = 0.0;
   Cfg G = randomBackboneCfg(R, Opts);
   ASSERT_TRUE(validateCfg(G));
-  auto L = canonicalizePartition(computeControlRegionsLinear(G).NodeClass);
-  auto F = canonicalizePartition(computeControlRegionsFOW(G).NodeClass);
+  FrozenCfg V(G);
+  auto L = canonicalizePartition(computeControlRegionsLinear(V).NodeClass);
+  auto F = canonicalizePartition(computeControlRegionsFOW(V).NodeClass);
   auto B =
       canonicalizePartition(computeNodeCycleEquivalenceBrute(G).NodeClass);
   EXPECT_EQ(L, F) << "seed " << Seed;

@@ -116,7 +116,7 @@ TEST(CorpusImage, FileSaveAndMapPreservesEveryAccessor) {
 
   for (uint64_t I = 0; I < Img.numFunctions(); ++I) {
     const Cfg &G = *H.Graphs[I];
-    ProgramStructureTree Direct = ProgramStructureTree::build(G);
+    ProgramStructureTree Direct = ProgramStructureTree::build(FrozenCfg(G));
     ProgramStructureTree Mapped = Img.pst(I);
     EXPECT_TRUE(Mapped.isExternal());
     EXPECT_EQ(Mapped.cycleEquiv().EdgeClass.size(), 0u);
@@ -256,7 +256,6 @@ TEST(CorpusImageByteIdentity, MappedAnalysisMatchesInMemoryOnFullCorpus) {
   CorpusImage Img = CorpusImage::map(Path, &Error);
   ASSERT_TRUE(Img.valid()) << Error;
 
-  CfgViewScratch VS;
   CycleEquivScratch CES;
   ControlRegionsScratch CRS;
 
@@ -267,29 +266,30 @@ TEST(CorpusImageByteIdentity, MappedAnalysisMatchesInMemoryOnFullCorpus) {
     ProgramStructureTree MT = Img.pst(I);
 
     // Cycle equivalence on the mapped CSR arrays.
-    CycleEquivResult CeL = computeCycleEquivalence(G);
+    FrozenCfg V(G);
+    CycleEquivResult CeL = computeCycleEquivalence(V);
     CycleEquivResult CeM =
         computeCycleEquivalence(MV, /*AddReturnEdge=*/true, CES);
     ASSERT_EQ(CeL.EdgeClass, CeM.EdgeClass) << C.Fn.Name;
 
     // PST queries through the printer (exercises children, immediateNodes,
     // regionOfNode, depths and entry/exit edges in one golden).
-    ProgramStructureTree TL = ProgramStructureTree::build(G);
+    ProgramStructureTree TL = ProgramStructureTree::build(V);
     ASSERT_EQ(formatPst(G, TL), formatPst(G, MT)) << C.Fn.Name;
 
     // Control regions over the mapped view.
-    ControlRegionsResult CrL = computeControlRegionsLinearImplicit(G);
+    ControlRegionsResult CrL = computeControlRegionsLinearImplicit(V);
     ControlRegionsResult CrM = computeControlRegionsLinearImplicit(MV, CRS);
     ASSERT_EQ(CrL.NodeClass, CrM.NodeClass) << C.Fn.Name;
 
     // Every dominator builder, including the one that consumes the PST.
-    DomTree DL = DomTree::buildIterative(G);
+    DomTree DL = DomTree::buildIterative(V);
     DomTree DM = DomTree::buildIterative(MV);
-    DomTree PL = DomTree::buildPostDom(G);
+    DomTree PL = DomTree::buildPostDom(V);
     DomTree PM = DomTree::buildPostDom(MV);
-    DomTree LL = DomTree::buildLengauerTarjan(G);
+    DomTree LL = DomTree::buildLengauerTarjan(V);
     DomTree LM = DomTree::buildLengauerTarjan(MV);
-    DomTree QL = buildDominatorsViaPst(G, TL);
+    DomTree QL = buildDominatorsViaPst(V, TL);
     DomTree QM = buildDominatorsViaPst(MV, MT);
     for (NodeId N = 0; N < G.numNodes(); ++N) {
       ASSERT_EQ(DL.idom(N), DM.idom(N)) << C.Fn.Name << " node " << N;
@@ -300,25 +300,25 @@ TEST(CorpusImageByteIdentity, MappedAnalysisMatchesInMemoryOnFullCorpus) {
 
     // All four dataflow solvers.
     BitVectorProblem P = makeReachingDefs(C.Fn);
-    ASSERT_EQ(solveIterative(G, P), solveIterative(MV, P)) << C.Fn.Name;
-    ASSERT_EQ(solveElimination(G, TL, P), solveElimination(MV, MT, P))
+    ASSERT_EQ(solveIterative(V, P), solveIterative(MV, P)) << C.Fn.Name;
+    ASSERT_EQ(solveElimination(V, TL, P), solveElimination(MV, MT, P))
         << C.Fn.Name;
-    DominanceFrontiers DF(G, DL);
-    ASSERT_EQ(solveOnSeg(G, DL, DF, P), solveOnSeg(MV, DL, DF, P))
+    DominanceFrontiers DF(V, DL);
+    ASSERT_EQ(solveOnSeg(V, DL, DF, P), solveOnSeg(MV, DL, DF, P))
         << C.Fn.Name;
     auto Keys = expressionKeys(C.Fn);
     if (!Keys.empty()) {
       BitVectorProblem Q = makeSingleExprAvailability(C.Fn, Keys.front());
-      ASSERT_EQ(solveOnQpg(G, TL, Q).EdgeValue,
+      ASSERT_EQ(solveOnQpg(V, TL, Q).EdgeValue,
                 solveOnQpg(MV, MT, Q).EdgeValue)
           << C.Fn.Name;
     }
 
     // Phi placement, classic and PST-accelerated.
-    ASSERT_EQ(placePhisClassic(C.Fn).PhiBlocks,
+    ASSERT_EQ(placePhisClassic(C.Fn, V).PhiBlocks,
               placePhisClassic(C.Fn, MV).PhiBlocks)
         << C.Fn.Name;
-    ASSERT_EQ(placePhisPst(C.Fn, TL).PhiBlocks,
+    ASSERT_EQ(placePhisPst(C.Fn, V, TL).PhiBlocks,
               placePhisPst(C.Fn, MV, MT).PhiBlocks)
         << C.Fn.Name;
   }
@@ -337,7 +337,8 @@ TEST(CorpusImageByteIdentity, RegionProfilerRunsOnMappedPst) {
   // whole-corpus test above already pins structurally.
   for (uint64_t I = 0; I < Img.numFunctions(); I += 16) {
     const CorpusFunction &C = H.Corpus[I];
-    ProgramStructureTree TL = ProgramStructureTree::build(C.Fn.Graph);
+    ProgramStructureTree TL =
+        ProgramStructureTree::build(FrozenCfg(C.Fn.Graph));
     ProgramStructureTree MT = Img.pst(I);
 
     RegionProfile Direct(C.Fn, TL);
@@ -425,7 +426,7 @@ TEST(CorpusImageBatch, ImageAnalyzeCorpusMatchesDirectPath) {
 
 TEST(ProgramStructureTreeStorage, CopySemanticsOwnedAndAdopted) {
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree Owned = ProgramStructureTree::build(G);
+  ProgramStructureTree Owned = ProgramStructureTree::build(FrozenCfg(G));
   ASSERT_FALSE(Owned.isExternal());
 
   // Copying an owning tree deep-copies: fresh arrays, same content.

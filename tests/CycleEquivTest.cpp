@@ -20,7 +20,7 @@ using namespace pst;
 namespace {
 
 void expectMatchesOracle(const Cfg &G, uint64_t Seed) {
-  CycleEquivResult Fast = computeCycleEquivalence(G);
+  CycleEquivResult Fast = computeCycleEquivalence(FrozenCfg(G));
   CycleEquivResult Slow = computeCycleEquivalenceBrute(G);
   ASSERT_EQ(Fast.EdgeClass.size(), Slow.EdgeClass.size());
   EXPECT_EQ(canonicalizePartition(Fast.EdgeClass),
@@ -32,7 +32,7 @@ void expectMatchesOracle(const Cfg &G, uint64_t Seed) {
 
 TEST(CycleEquiv, ChainIsOneClass) {
   Cfg G = chainCfg(4);
-  CycleEquivResult R = computeCycleEquivalence(G);
+  CycleEquivResult R = computeCycleEquivalence(FrozenCfg(G));
   // Every edge of a straight chain lies on exactly the one big cycle
   // through the return edge: a single class.
   for (EdgeId E = 0; E < G.numEdges(); ++E)
@@ -44,7 +44,7 @@ TEST(CycleEquiv, DiamondArms) {
   Cfg G = diamondLadderCfg(1);
   // Edges: 0:entry->cond, 1:cond->then, 2:cond->else, 3:then->join,
   // 4:else->join, 5:join->exit.
-  CycleEquivResult R = computeCycleEquivalence(G);
+  CycleEquivResult R = computeCycleEquivalence(FrozenCfg(G));
   EXPECT_EQ(R.classOf(1), R.classOf(3)); // Then-arm pair.
   EXPECT_EQ(R.classOf(2), R.classOf(4)); // Else-arm pair.
   EXPECT_NE(R.classOf(1), R.classOf(2)); // Arms differ.
@@ -60,7 +60,7 @@ TEST(CycleEquiv, SelfLoopIsSingleton) {
   G.addEdge(A, E);
   G.setEntry(S);
   G.setExit(E);
-  CycleEquivResult R = computeCycleEquivalence(G);
+  CycleEquivResult R = computeCycleEquivalence(FrozenCfg(G));
   for (EdgeId Ed = 0; Ed < R.EdgeClass.size(); ++Ed) {
     if (Ed != Loop) {
       EXPECT_NE(R.classOf(Ed), R.classOf(Loop));
@@ -77,7 +77,7 @@ TEST(CycleEquiv, ParallelEdgesShareNoClassWithSpine) {
   G.addEdge(B, E);
   G.setEntry(S);
   G.setExit(E);
-  CycleEquivResult R = computeCycleEquivalence(G);
+  CycleEquivResult R = computeCycleEquivalence(FrozenCfg(G));
   // The two parallel edges form a cycle containing neither spine edge, so
   // each parallel edge is alone (a cycle can take either copy).
   EXPECT_NE(R.classOf(P1), R.classOf(P2));
@@ -90,7 +90,7 @@ TEST(CycleEquiv, WhileLoopStructure) {
   Cfg G = nestedWhileCfg(1); // entry,exit,head0,body0,after0.
   // Edges: 0: entry->head, 1: head->body, 2: body->head, 3: head->after,
   // 4: after->exit.
-  CycleEquivResult R = computeCycleEquivalence(G);
+  CycleEquivResult R = computeCycleEquivalence(FrozenCfg(G));
   EXPECT_EQ(R.classOf(1), R.classOf(2)); // Body edge pair cycles together.
   EXPECT_EQ(R.classOf(0), R.classOf(3)); // In/out of the loop region.
   EXPECT_EQ(R.classOf(3), R.classOf(4));
@@ -107,7 +107,7 @@ TEST(CycleEquiv, MatchesOracleOnClassics) {
 
 TEST(CycleEquiv, PaperFigure1Regions) {
   Cfg G = paperFigure1Cfg();
-  CycleEquivResult R = computeCycleEquivalence(G);
+  CycleEquivResult R = computeCycleEquivalence(FrozenCfg(G));
   // Sequential spine: e0 (start->cond), e5 (join->head), e8 (head->tail),
   // e9 (tail->end) are all equivalent.
   EXPECT_EQ(R.classOf(0), R.classOf(5));
@@ -130,7 +130,8 @@ TEST(CycleEquiv, WithoutReturnEdgeOnStronglyConnected) {
   G.addEdge(C, A);
   G.setEntry(A);
   G.setExit(C);
-  CycleEquivResult R = computeCycleEquivalence(G, /*AddReturnEdge=*/false);
+  CycleEquivResult R =
+      computeCycleEquivalence(FrozenCfg(G), /*AddReturnEdge=*/false);
   EXPECT_FALSE(R.HasReturnEdge);
   EXPECT_EQ(R.EdgeClass.size(), 3u);
   EXPECT_EQ(R.classOf(0), R.classOf(1));

@@ -39,16 +39,17 @@ VarId varOf(const LoweredFunction &F, const std::string &Name) {
 void expectAllSolversAgree(const LoweredFunction &F,
                            const BitVectorProblem &P) {
   const Cfg &G = F.Graph;
-  ProgramStructureTree T = ProgramStructureTree::build(G);
-  DataflowSolution It = solveIterative(G, P);
-  DataflowSolution El = solveElimination(G, T, P);
+  FrozenCfg FV(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FV);
+  DataflowSolution It = solveIterative(FV, P);
+  DataflowSolution El = solveElimination(FV, T, P);
   for (NodeId N = 0; N < G.numNodes(); ++N) {
     ASSERT_EQ(It.In[N], El.In[N]) << F.Name << " IN mismatch at node " << N;
     ASSERT_EQ(It.Out[N], El.Out[N])
         << F.Name << " OUT mismatch at node " << N;
   }
-  EdgeSolution Sparse = solveOnQpg(G, T, P);
-  EdgeSolution Dense = edgeView(G, It);
+  EdgeSolution Sparse = solveOnQpg(FV, T, P);
+  EdgeSolution Dense = edgeView(FV, It);
   for (EdgeId E = 0; E < G.numEdges(); ++E)
     ASSERT_EQ(Sparse.EdgeValue[E], Dense.EdgeValue[E])
         << F.Name << " QPG mismatch on edge " << E;
@@ -61,7 +62,7 @@ TEST(ReachingDefs, StraightLineKills) {
       compileOne("func f(a) { var x = a; x = x + 1; return x; }");
   std::vector<VarId> DefVar;
   BitVectorProblem P = makeReachingDefs(F, &DefVar);
-  DataflowSolution S = solveIterative(F.Graph, P);
+  DataflowSolution S = solveIterative(FrozenCfg(F.Graph), P);
   // At exit, exactly one def of x reaches (the second), plus a's param
   // def.
   VarId X = varOf(F, "x");
@@ -79,7 +80,7 @@ TEST(ReachingDefs, BothArmsReachJoin) {
       "return x; }");
   std::vector<VarId> DefVar;
   BitVectorProblem P = makeReachingDefs(F, &DefVar);
-  DataflowSolution S = solveIterative(F.Graph, P);
+  DataflowSolution S = solveIterative(FrozenCfg(F.Graph), P);
   VarId X = varOf(F, "x");
   uint32_t ReachingX = 0;
   S.In[F.Graph.exit()].forEachSetBit([&](size_t Bit) {
@@ -94,7 +95,7 @@ TEST(LiveVariables, DeadAfterLastUse) {
       "func f(a) { var x = a; var y = x + 1; return y; }");
   BitVectorProblem P = makeLiveVariables(F);
   Cfg R = reverseCfg(F.Graph);
-  DataflowSolution S = solveIterative(R, P);
+  DataflowSolution S = solveIterative(FrozenCfg(R), P);
   // Backward reading of the reversed solution: Out[n] is the live-in set
   // of n. 'a' is defined in entry and used in the body block, so it is
   // live into the body; x and y are block-local and live nowhere across
@@ -117,7 +118,7 @@ TEST(LiveVariables, LoopKeepsCounterLive) {
       "func f(n) { var i = 0; while (i < n) { i = i + 1; } return i; }");
   BitVectorProblem P = makeLiveVariables(F);
   Cfg R = reverseCfg(F.Graph);
-  DataflowSolution S = solveIterative(R, P);
+  DataflowSolution S = solveIterative(FrozenCfg(R), P);
   VarId I = varOf(F, "i");
   // i is live on the backedge (used by the next header evaluation).
   uint32_t LiveBlocks = 0;
@@ -132,7 +133,7 @@ TEST(AvailableExpressions, RecomputationAvailable) {
   std::vector<std::string> Keys;
   BitVectorProblem P = makeAvailableExpressions(F, &Keys);
   ASSERT_FALSE(Keys.empty());
-  DataflowSolution S = solveIterative(F.Graph, P);
+  DataflowSolution S = solveIterative(FrozenCfg(F.Graph), P);
   // "a + b" (however it prints) is available at exit.
   uint32_t Bit = UINT32_MAX;
   for (uint32_t K = 0; K < Keys.size(); ++K)
@@ -150,7 +151,7 @@ TEST(AvailableExpressions, KilledByOperandRedefinition) {
   // Everything is in one block; gen/kill must cancel correctly at block
   // level: after the block, a + b is available (recomputed after the
   // kill).
-  DataflowSolution S = solveIterative(F.Graph, P);
+  DataflowSolution S = solveIterative(FrozenCfg(F.Graph), P);
   uint32_t Bit = UINT32_MAX;
   for (uint32_t K = 0; K < Keys.size(); ++K)
     if (Keys[K].find("a + b") != std::string::npos)
@@ -170,7 +171,7 @@ TEST(AvailableExpressions, IntersectAtJoin) {
   )");
   std::vector<std::string> Keys;
   BitVectorProblem P = makeAvailableExpressions(F, &Keys);
-  DataflowSolution S = solveIterative(F.Graph, P);
+  DataflowSolution S = solveIterative(FrozenCfg(F.Graph), P);
   // a + b is not available at the join (only one arm computes it), so the
   // block computing y regenerates it; available at exit.
   uint32_t Bit = UINT32_MAX;
@@ -199,12 +200,13 @@ TEST(Qpg, TransparentLoopBypassed) {
     }
   )");
   BitVectorProblem P = makeSingleExprAvailability(F, "a + b");
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
-  Qpg Q = buildQpg(F.Graph, T, P);
+  FrozenCfg V(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  Qpg Q = buildQpg(V, T, P);
   EXPECT_LT(Q.numNodes(), F.Graph.numNodes());
   // And the projected solution still matches the dense one.
-  EdgeSolution Sparse = solveOnQpg(F.Graph, T, P);
-  EdgeSolution Dense = edgeView(F.Graph, solveIterative(F.Graph, P));
+  EdgeSolution Sparse = solveOnQpg(V, T, P);
+  EdgeSolution Dense = edgeView(V, solveIterative(V, P));
   for (EdgeId E = 0; E < F.Graph.numEdges(); ++E)
     EXPECT_EQ(Sparse.EdgeValue[E], Dense.EdgeValue[E]) << "edge " << E;
 }
@@ -219,11 +221,12 @@ TEST(Qpg, NothingInterestingCollapsesToSpine) {
   )");
   // An expression that appears nowhere: every node is transparent.
   BitVectorProblem P = makeSingleExprAvailability(F, "zz + qq");
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
-  Qpg Q = buildQpg(F.Graph, T, P);
+  FrozenCfg V(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  Qpg Q = buildQpg(V, T, P);
   EXPECT_LE(Q.numNodes(), F.Graph.numNodes());
-  EdgeSolution Sparse = solveOnQpg(F.Graph, T, P);
-  EdgeSolution Dense = edgeView(F.Graph, solveIterative(F.Graph, P));
+  EdgeSolution Sparse = solveOnQpg(V, T, P);
+  EdgeSolution Dense = edgeView(V, solveIterative(V, P));
   for (EdgeId E = 0; E < F.Graph.numEdges(); ++E)
     EXPECT_EQ(Sparse.EdgeValue[E], Dense.EdgeValue[E]) << "edge " << E;
 }
@@ -264,9 +267,10 @@ TEST_P(DataflowRandomTest, SolversAgreeOnGeneratedPrograms) {
   // Backward liveness: iterative vs elimination on the reversed graph.
   BitVectorProblem P = makeLiveVariables(*L);
   Cfg Rev = reverseCfg(L->Graph);
-  ProgramStructureTree T = ProgramStructureTree::build(Rev);
-  DataflowSolution It = solveIterative(Rev, P);
-  DataflowSolution El = solveElimination(Rev, T, P);
+  FrozenCfg V(Rev);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  DataflowSolution It = solveIterative(V, P);
+  DataflowSolution El = solveElimination(V, T, P);
   for (NodeId N = 0; N < Rev.numNodes(); ++N) {
     ASSERT_EQ(It.In[N], El.In[N]) << "seed " << GetParam();
     ASSERT_EQ(It.Out[N], El.Out[N]) << "seed " << GetParam();
@@ -290,9 +294,10 @@ TEST(Qpg, BackwardLivenessSparse) {
   )");
   BitVectorProblem P = makeLiveVariables(F);
   Cfg Rev = reverseCfg(F.Graph);
-  ProgramStructureTree T = ProgramStructureTree::build(Rev);
-  EdgeSolution Sparse = solveOnQpg(Rev, T, P);
-  EdgeSolution Dense = edgeView(Rev, solveIterative(Rev, P));
+  FrozenCfg V(Rev);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  EdgeSolution Sparse = solveOnQpg(V, T, P);
+  EdgeSolution Dense = edgeView(V, solveIterative(V, P));
   for (EdgeId E = 0; E < Rev.numEdges(); ++E)
     EXPECT_EQ(Sparse.EdgeValue[E], Dense.EdgeValue[E]) << "edge " << E;
 }
@@ -314,9 +319,10 @@ TEST(Seg, MembershipForSingleExpr) {
     }
   )");
   BitVectorProblem P = makeSingleExprAvailability(F, "(a + b)");
-  DomTree DT = DomTree::buildIterative(F.Graph);
-  DominanceFrontiers DF(F.Graph, DT);
-  Seg S = buildSeg(F.Graph, DT, DF, P);
+  FrozenCfg V(F.Graph);
+  DomTree DT = DomTree::buildIterative(V);
+  DominanceFrontiers DF(V, DT);
+  Seg S = buildSeg(V, DT, DF, P);
   // Far fewer SEG nodes than CFG nodes; entry is node 0.
   EXPECT_LT(S.numNodes(), F.Graph.numNodes());
   EXPECT_EQ(S.Nodes[0], F.Graph.entry());
@@ -339,10 +345,11 @@ TEST(Seg, SolutionMatchesIterativeOnGoldens) {
     LoweredFunction F = compileOne(Src);
     for (BitVectorProblem P :
          {makeReachingDefs(F), makeAvailableExpressions(F)}) {
-      DomTree DT = DomTree::buildIterative(F.Graph);
-      DominanceFrontiers DF(F.Graph, DT);
-      DataflowSolution A = solveIterative(F.Graph, P);
-      DataflowSolution B = solveOnSeg(F.Graph, DT, DF, P);
+      FrozenCfg V(F.Graph);
+      DomTree DT = DomTree::buildIterative(V);
+      DominanceFrontiers DF(V, DT);
+      DataflowSolution A = solveIterative(V, P);
+      DataflowSolution B = solveOnSeg(V, DT, DF, P);
       for (NodeId N = 0; N < F.Graph.numNodes(); ++N) {
         ASSERT_EQ(A.In[N], B.In[N]) << Src << " node " << N;
         ASSERT_EQ(A.Out[N], B.Out[N]) << Src << " node " << N;
@@ -362,12 +369,13 @@ TEST_P(SegRandomTest, MatchesIterativeOnGeneratedPrograms) {
   auto L = lowerFunction(Fn);
   ASSERT_TRUE(L.has_value());
   const LoweredFunction &F = *L;
-  DomTree DT = DomTree::buildIterative(F.Graph);
-  DominanceFrontiers DF(F.Graph, DT);
+  FrozenCfg V(F.Graph);
+  DomTree DT = DomTree::buildIterative(V);
+  DominanceFrontiers DF(V, DT);
   for (BitVectorProblem P :
        {makeReachingDefs(F), makeAvailableExpressions(F)}) {
-    DataflowSolution A = solveIterative(F.Graph, P);
-    DataflowSolution B = solveOnSeg(F.Graph, DT, DF, P);
+    DataflowSolution A = solveIterative(V, P);
+    DataflowSolution B = solveOnSeg(V, DT, DF, P);
     for (NodeId N = 0; N < F.Graph.numNodes(); ++N) {
       ASSERT_EQ(A.In[N], B.In[N]) << "seed " << GetParam();
       ASSERT_EQ(A.Out[N], B.Out[N]) << "seed " << GetParam();
@@ -412,10 +420,11 @@ TEST(StatementLevel, AnalysesStillAgree) {
   )");
   LoweredFunction S = expandToStatementLevel(F);
   ASSERT_TRUE(validateCfg(S.Graph));
-  ProgramStructureTree T = ProgramStructureTree::build(S.Graph);
+  FrozenCfg V(S.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   BitVectorProblem P = makeReachingDefs(S);
-  DataflowSolution A = solveIterative(S.Graph, P);
-  DataflowSolution B = solveElimination(S.Graph, T, P);
+  DataflowSolution A = solveIterative(V, P);
+  DataflowSolution B = solveElimination(V, T, P);
   for (NodeId N = 0; N < S.Graph.numNodes(); ++N) {
     ASSERT_EQ(A.In[N], B.In[N]);
     ASSERT_EQ(A.Out[N], B.Out[N]);

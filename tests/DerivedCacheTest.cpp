@@ -72,7 +72,7 @@ uint32_t maxDepthByScan(const ProgramStructureTree &T) {
 }
 
 void expectLcaMatchesWalk(const Cfg &G, const char *What) {
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   PstLca L(T);
   ASSERT_FALSE(L.empty()) << What;
   EXPECT_EQ(L.maxDepth(), maxDepthByScan(T)) << What;
@@ -99,7 +99,8 @@ TEST(PstLcaTest, StructuredShapesMatchWalk) {
 }
 
 TEST(PstLcaTest, LcaIsReflexiveSymmetricAndRootAbsorbing) {
-  ProgramStructureTree T = ProgramStructureTree::build(nestedWhileCfg(3));
+  ProgramStructureTree T =
+      ProgramStructureTree::build(FrozenCfg(nestedWhileCfg(3)));
   PstLca L(T);
   for (RegionId A = 0; A < T.numRegions(); ++A) {
     EXPECT_EQ(L.lca(A, A), A);
@@ -142,8 +143,8 @@ std::vector<EdgeId> cdepByScan(const Cfg &G, const DomTree &Pdt, NodeId N) {
 }
 
 void expectCdepMatchesScan(const Cfg &G, const char *What) {
-  DomTree Pdt = DomTree::buildPostDom(G);
-  ControlDependenceCsr Csr(G, Pdt);
+  DomTree Pdt = DomTree::buildPostDom(FrozenCfg(G));
+  ControlDependenceCsr Csr(FrozenCfg(G), Pdt);
   size_t Total = 0;
   for (NodeId N = 0; N < G.numNodes(); ++N) {
     std::vector<EdgeId> Expect = cdepByScan(G, Pdt, N);

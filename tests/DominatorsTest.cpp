@@ -80,7 +80,7 @@ Cfg loopWithIf() {
 TEST(DomTree, DiamondIdoms) {
   Cfg G = diamondLadderCfg(1);
   // entry=0, cond0=1, then0=2, else0=3, join0=4, exit=5.
-  DomTree T = DomTree::buildIterative(G);
+  DomTree T = DomTree::buildIterative(FrozenCfg(G));
   EXPECT_EQ(T.idom(1), 0u);
   EXPECT_EQ(T.idom(2), 1u);
   EXPECT_EQ(T.idom(3), 1u);
@@ -91,7 +91,7 @@ TEST(DomTree, DiamondIdoms) {
 
 TEST(DomTree, DominatesQueries) {
   Cfg G = loopWithIf();
-  DomTree T = DomTree::buildIterative(G);
+  DomTree T = DomTree::buildIterative(FrozenCfg(G));
   EXPECT_TRUE(T.dominates(1, 5));        // h dominates m.
   EXPECT_TRUE(T.dominates(2, 5));        // c dominates m.
   EXPECT_FALSE(T.dominates(3, 5));       // t does not dominate m.
@@ -102,7 +102,7 @@ TEST(DomTree, DominatesQueries) {
 
 TEST(DomTree, DepthsAreTreeDepths) {
   Cfg G = chainCfg(3); // entry -> b0 -> b1 -> b2 -> exit.
-  DomTree T = DomTree::buildIterative(G);
+  DomTree T = DomTree::buildIterative(FrozenCfg(G));
   EXPECT_EQ(T.depth(G.entry()), 0u);
   EXPECT_EQ(T.depth(G.exit()), 4u);
 }
@@ -110,8 +110,9 @@ TEST(DomTree, DepthsAreTreeDepths) {
 TEST(DomTree, LengauerTarjanMatchesIterativeOnClassics) {
   for (const Cfg &G : {diamondLadderCfg(3), nestedWhileCfg(3),
                        nestedRepeatUntilCfg(4), irreducibleCfg(2)}) {
-    DomTree A = DomTree::buildIterative(G);
-    DomTree B = DomTree::buildLengauerTarjan(G);
+    FrozenCfg V(G);
+    DomTree A = DomTree::buildIterative(V);
+    DomTree B = DomTree::buildLengauerTarjan(V);
     for (NodeId N = 0; N < G.numNodes(); ++N)
       EXPECT_EQ(A.idom(N), B.idom(N)) << "node " << N;
   }
@@ -120,14 +121,15 @@ TEST(DomTree, LengauerTarjanMatchesIterativeOnClassics) {
 TEST(DomTree, MatchesOracleOnClassics) {
   for (const Cfg &G : {diamondLadderCfg(2), nestedWhileCfg(2),
                        irreducibleCfg(1), loopWithIf()}) {
-    expectTreeMatchesOracle(G, DomTree::buildIterative(G));
-    expectTreeMatchesOracle(G, DomTree::buildLengauerTarjan(G));
+    FrozenCfg V(G);
+    expectTreeMatchesOracle(G, DomTree::buildIterative(V));
+    expectTreeMatchesOracle(G, DomTree::buildLengauerTarjan(V));
   }
 }
 
 TEST(PostDom, LoopWithIf) {
   Cfg G = loopWithIf();
-  DomTree P = DomTree::buildPostDom(G);
+  DomTree P = DomTree::buildPostDom(FrozenCfg(G));
   EXPECT_EQ(P.root(), G.exit());
   // h postdominates everything except exit... including entry.
   EXPECT_TRUE(P.dominates(1, 0));
@@ -137,8 +139,9 @@ TEST(PostDom, LoopWithIf) {
 
 TEST(DominanceFrontiers, Diamond) {
   Cfg G = diamondLadderCfg(1);
-  DomTree T = DomTree::buildIterative(G);
-  DominanceFrontiers DF(G, T);
+  FrozenCfg V(G);
+  DomTree T = DomTree::buildIterative(V);
+  DominanceFrontiers DF(V, T);
   // Arms' frontier is the join; the cond's is empty (it dominates join).
   EXPECT_EQ(DF.frontier(2), (std::vector<NodeId>{4}));
   EXPECT_EQ(DF.frontier(3), (std::vector<NodeId>{4}));
@@ -147,8 +150,9 @@ TEST(DominanceFrontiers, Diamond) {
 
 TEST(DominanceFrontiers, LoopHeaderInOwnFrontier) {
   Cfg G = nestedWhileCfg(1);
-  DomTree T = DomTree::buildIterative(G);
-  DominanceFrontiers DF(G, T);
+  FrozenCfg V(G);
+  DomTree T = DomTree::buildIterative(V);
+  DominanceFrontiers DF(V, T);
   // The loop header (node 2, "head0") is a merge reached around the back-
   // edge, so it appears in its own frontier.
   NodeId Head = 2;
@@ -158,8 +162,9 @@ TEST(DominanceFrontiers, LoopHeaderInOwnFrontier) {
 
 TEST(DominanceFrontiers, IteratedReachesFixpoint) {
   Cfg G = nestedRepeatUntilCfg(3);
-  DomTree T = DomTree::buildIterative(G);
-  DominanceFrontiers DF(G, T);
+  FrozenCfg V(G);
+  DomTree T = DomTree::buildIterative(V);
+  DominanceFrontiers DF(V, T);
   // Iterating from a def in the innermost body must be a superset of the
   // plain frontier.
   std::vector<NodeId> Defs{4}; // h2 (inner head).
@@ -179,8 +184,9 @@ TEST_P(DomRandomTest, AllThreeAgree) {
   Cfg G = randomBackboneCfg(R, Opts);
   ASSERT_TRUE(validateCfg(G));
 
-  DomTree A = DomTree::buildIterative(G);
-  DomTree B = DomTree::buildLengauerTarjan(G);
+  FrozenCfg V(G);
+  DomTree A = DomTree::buildIterative(V);
+  DomTree B = DomTree::buildLengauerTarjan(V);
   for (NodeId N = 0; N < G.numNodes(); ++N)
     ASSERT_EQ(A.idom(N), B.idom(N)) << "seed " << GetParam() << " node " << N;
   auto Dom = dominatorSetsOracle(G);
@@ -203,7 +209,7 @@ TEST_P(PostDomRandomTest, MatchesReversedOracle) {
   Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(15));
   Cfg G = randomBackboneCfg(R, Opts);
   ASSERT_TRUE(validateCfg(G));
-  DomTree P = DomTree::buildPostDom(G);
+  DomTree P = DomTree::buildPostDom(FrozenCfg(G));
   auto Dom = dominatorSetsOracle(reverseCfg(G));
   for (NodeId X = 0; X < G.numNodes(); ++X)
     for (NodeId Y = 0; Y < G.numNodes(); ++Y)

@@ -23,14 +23,14 @@ TEST(Generators, DiamondLadderShape) {
   Cfg G = diamondLadderCfg(4);
   EXPECT_EQ(G.numNodes(), 2u + 4 * 4);
   EXPECT_TRUE(validateCfg(G));
-  EXPECT_TRUE(isReducible(G));
+  EXPECT_TRUE(isReducible(FrozenCfg(G)));
 }
 
 TEST(Generators, NestedWhileValid) {
   for (uint32_t D = 1; D <= 6; ++D) {
     Cfg G = nestedWhileCfg(D, 2);
     EXPECT_TRUE(validateCfg(G)) << "depth " << D;
-    EXPECT_TRUE(isReducible(G)) << "depth " << D;
+    EXPECT_TRUE(isReducible(FrozenCfg(G))) << "depth " << D;
   }
 }
 
@@ -38,14 +38,14 @@ TEST(Generators, NestedRepeatUntilValid) {
   for (uint32_t D = 1; D <= 8; ++D) {
     Cfg G = nestedRepeatUntilCfg(D);
     EXPECT_TRUE(validateCfg(G)) << "depth " << D;
-    EXPECT_TRUE(isReducible(G)) << "depth " << D;
+    EXPECT_TRUE(isReducible(FrozenCfg(G))) << "depth " << D;
   }
 }
 
 TEST(Generators, IrreducibleIsIrreducible) {
   Cfg G = irreducibleCfg(2);
   EXPECT_TRUE(validateCfg(G));
-  EXPECT_FALSE(isReducible(G));
+  EXPECT_FALSE(isReducible(FrozenCfg(G)));
 }
 
 TEST(Generators, PaperFigureValid) {
@@ -92,5 +92,5 @@ TEST(RandomCfg, ForwardOnlyIsAcyclicApartFromSelfLoops) {
   Opts.SelfLoopProb = 0.0;
   Cfg G = randomBackboneCfg(R, Opts);
   EXPECT_TRUE(validateCfg(G));
-  EXPECT_TRUE(isReducible(G)); // A DAG is always reducible.
+  EXPECT_TRUE(isReducible(FrozenCfg(G))); // A DAG is always reducible.
 }

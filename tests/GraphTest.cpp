@@ -70,7 +70,7 @@ TEST(Cfg, MultigraphAllowed) {
 
 TEST(Dfs, VisitsEverythingOnce) {
   Cfg G = makeDiamond();
-  DfsResult R = depthFirstSearch(G, G.entry());
+  DfsResult R = depthFirstSearch(FrozenCfg(G), G.entry());
   EXPECT_EQ(R.Preorder.size(), 5u);
   EXPECT_EQ(R.Postorder.size(), 5u);
   EXPECT_EQ(R.Preorder[0], G.entry());
@@ -81,7 +81,7 @@ TEST(Dfs, VisitsEverythingOnce) {
 
 TEST(Dfs, ParentEdgesFormTree) {
   Cfg G = makeDiamond();
-  DfsResult R = depthFirstSearch(G, G.entry());
+  DfsResult R = depthFirstSearch(FrozenCfg(G), G.entry());
   EXPECT_EQ(R.ParentEdge[G.entry()], InvalidEdge);
   for (NodeId N = 0; N < G.numNodes(); ++N) {
     if (N == G.entry())
@@ -93,7 +93,7 @@ TEST(Dfs, ParentEdgesFormTree) {
 
 TEST(Rpo, EntryFirstExitLast) {
   Cfg G = makeDiamond();
-  std::vector<NodeId> RPO = reversePostOrder(G);
+  std::vector<NodeId> RPO = reversePostOrder(FrozenCfg(G));
   ASSERT_EQ(RPO.size(), 5u);
   EXPECT_EQ(RPO.front(), G.entry());
   EXPECT_EQ(RPO.back(), G.exit());
@@ -185,15 +185,15 @@ TEST(Simplify, KeepsSelfLoopAndStaysValid) {
 }
 
 TEST(Reducible, StructuredGraphsAre) {
-  EXPECT_TRUE(isReducible(makeDiamond()));
-  EXPECT_TRUE(isReducible(chainCfg(4)));
-  EXPECT_TRUE(isReducible(nestedWhileCfg(3)));
-  EXPECT_TRUE(isReducible(nestedRepeatUntilCfg(4)));
+  EXPECT_TRUE(isReducible(FrozenCfg(makeDiamond())));
+  EXPECT_TRUE(isReducible(FrozenCfg(chainCfg(4))));
+  EXPECT_TRUE(isReducible(FrozenCfg(nestedWhileCfg(3))));
+  EXPECT_TRUE(isReducible(FrozenCfg(nestedRepeatUntilCfg(4))));
 }
 
 TEST(Reducible, IrreducibleTriangleIsNot) {
-  EXPECT_FALSE(isReducible(irreducibleCfg(1)));
-  EXPECT_FALSE(isReducible(irreducibleCfg(3)));
+  EXPECT_FALSE(isReducible(FrozenCfg(irreducibleCfg(1))));
+  EXPECT_FALSE(isReducible(FrozenCfg(irreducibleCfg(3))));
 }
 
 TEST(CfgIO, DotContainsAllEdges) {

@@ -111,7 +111,7 @@ TEST(DynamicCfg, MaterializeMapsLiveEdges) {
 
 TEST(SubCfgExtraction, Figure1LoopBody) {
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   // The loop region entered by edge 5 with body nodes {5, 6} (head, body).
   RegionId Loop = T.regionEnteredBy(5);
   ASSERT_NE(Loop, InvalidRegion);
@@ -125,13 +125,13 @@ TEST(SubCfgExtraction, Figure1LoopBody) {
   EXPECT_EQ(S.GlobalEdge[S.LocalEntryEdge], T.region(Loop).EntryEdge);
   EXPECT_EQ(S.GlobalEdge[S.LocalExitEdge], T.region(Loop).ExitEdge);
   // The sub-build sees the nested body region.
-  ProgramStructureTree SubT = ProgramStructureTree::build(S.Graph);
+  ProgramStructureTree SubT = ProgramStructureTree::build(FrozenCfg(S.Graph));
   EXPECT_GE(SubT.numCanonicalRegions(), 2u);
 }
 
 TEST(SubCfgExtraction, DetectsBoundaryViolation) {
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   RegionId Loop = T.regionEnteredBy(5);
   std::vector<NodeId> Body = T.allNodes(Loop);
   Body.pop_back(); // Drop one body node: its edges now cross the cut.

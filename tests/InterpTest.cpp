@@ -203,7 +203,7 @@ TEST_P(DynamicControlRegions, CycleEquivalentNodesRunEquallyOften) {
   Opts.GotoProb = GetParam() % 3 == 0 ? 0.08 : 0.0; // Gotos welcome here.
   Function F = generateFunction(R, Opts, "gen");
   LoweredFunction L = lowerOne(F);
-  ControlRegionsResult CR = computeControlRegionsLinear(L.Graph);
+  ControlRegionsResult CR = computeControlRegionsLinear(FrozenCfg(L.Graph));
 
   for (int Trial = 0; Trial < 3; ++Trial) {
     std::vector<int64_t> Args;
@@ -235,7 +235,7 @@ TEST(DynamicControlRegionsErratum, WeakClassesCanDisagreeOnCounts) {
   Function F = parseOne(
       "func f(n) { var i = 0; while (i < n) { i = i + 1; } return i; }");
   LoweredFunction L = lowerOne(F);
-  ControlRegionsResult Weak = computeControlRegionsFOW(L.Graph);
+  ControlRegionsResult Weak = computeControlRegionsFOW(FrozenCfg(L.Graph));
   CfgExecResult Run = runLowered(L, {3});
   ASSERT_TRUE(Run.Finished);
   bool SomeWeakClassDisagrees = false;

@@ -196,18 +196,19 @@ TEST(Lower, IfElseShape) {
   // entry, body(cond), then, else, join (a pure merge), continuation
   // (with the return), exit.
   EXPECT_EQ(F.Graph.numNodes(), 7u);
-  EXPECT_TRUE(isReducible(F.Graph));
+  EXPECT_TRUE(isReducible(FrozenCfg(F.Graph)));
 }
 
 TEST(Lower, WhileLoopShape) {
   LoweredFunction F = compileOne(
       "func f(n) { var i = 0; while (i < n) { i = i + 1; } return i; }");
   EXPECT_TRUE(validateCfg(F.Graph));
-  EXPECT_TRUE(isReducible(F.Graph));
+  FrozenCfg V(F.Graph);
+  EXPECT_TRUE(isReducible(V));
   // The header must have two successors and an incoming backedge.
   bool FoundBackedge = false;
   for (EdgeId E = 0; E < F.Graph.numEdges(); ++E) {
-    DfsResult D = depthFirstSearch(F.Graph, F.Graph.entry());
+    DfsResult D = depthFirstSearch(V, F.Graph.entry());
     if (D.PreNum[F.Graph.target(E)] < D.PreNum[F.Graph.source(E)])
       FoundBackedge = true;
   }
@@ -251,7 +252,7 @@ TEST(Lower, GotoMakesIrreducible) {
   )";
   LoweredFunction F = compileOne(Src);
   EXPECT_TRUE(validateCfg(F.Graph));
-  EXPECT_FALSE(isReducible(F.Graph));
+  EXPECT_FALSE(isReducible(FrozenCfg(F.Graph)));
 }
 
 TEST(Lower, InfiniteLoopGetsEscapeEdge) {
@@ -281,7 +282,7 @@ TEST(Lower, BreakAndContinue) {
     }
   )");
   EXPECT_TRUE(validateCfg(F.Graph));
-  EXPECT_TRUE(isReducible(F.Graph));
+  EXPECT_TRUE(isReducible(FrozenCfg(F.Graph)));
 }
 
 TEST(Lower, SwitchShape) {
@@ -350,8 +351,9 @@ TEST(Lower, PstBuildsOnLoweredCode) {
       return s;
     }
   )");
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
-  PstStats St = computePstStats(F.Graph, T);
+  FrozenCfg V(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  PstStats St = computePstStats(V, T);
   EXPECT_GE(St.NumRegions, 3u);
   EXPECT_GE(St.MaxDepth, 2u);
   EXPECT_TRUE(St.FullyStructured);
@@ -382,7 +384,7 @@ TEST_P(GeneratedProgramTest, LowersValidAndPrintsParseably) {
   EXPECT_TRUE(validateCfg(L->Graph, &Why)) << Why;
 
   // And the whole analysis pipeline must run on it.
-  ProgramStructureTree T = ProgramStructureTree::build(L->Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(L->Graph));
   EXPECT_GE(T.numRegions(), 1u);
 }
 

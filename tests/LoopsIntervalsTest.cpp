@@ -26,8 +26,8 @@ using namespace pst;
 
 TEST(LoopInfo, SingleWhileLoop) {
   Cfg G = nestedWhileCfg(1); // entry 0, exit 1, head 2, body 3, after 4.
-  DomTree DT = DomTree::buildIterative(G);
-  LoopInfo LI(G, DT);
+  DomTree DT = DomTree::buildIterative(FrozenCfg(G));
+  LoopInfo LI(FrozenCfg(G), DT);
   ASSERT_EQ(LI.numLoops(), 1u);
   const auto &L = LI.loop(0);
   EXPECT_EQ(L.Header, 2u);
@@ -42,8 +42,9 @@ TEST(LoopInfo, SingleWhileLoop) {
 
 TEST(LoopInfo, NestingDepths) {
   Cfg G = nestedWhileCfg(3);
-  DomTree DT = DomTree::buildIterative(G);
-  LoopInfo LI(G, DT);
+  FrozenCfg V(G);
+  DomTree DT = DomTree::buildIterative(V);
+  LoopInfo LI(V, DT);
   ASSERT_EQ(LI.numLoops(), 3u);
   uint32_t MaxDepth = 0;
   for (LoopId L = 0; L < LI.numLoops(); ++L)
@@ -58,8 +59,9 @@ TEST(LoopInfo, NestingDepths) {
 
 TEST(LoopInfo, RepeatUntilSharedBody) {
   Cfg G = nestedRepeatUntilCfg(3);
-  DomTree DT = DomTree::buildIterative(G);
-  LoopInfo LI(G, DT);
+  FrozenCfg V(G);
+  DomTree DT = DomTree::buildIterative(V);
+  LoopInfo LI(V, DT);
   EXPECT_EQ(LI.numLoops(), 3u);
   EXPECT_TRUE(LI.irreducibleEdges().empty());
 }
@@ -72,8 +74,9 @@ TEST(LoopInfo, SelfLoop) {
   G.addEdge(A, E);
   G.setEntry(S);
   G.setExit(E);
-  DomTree DT = DomTree::buildIterative(G);
-  LoopInfo LI(G, DT);
+  FrozenCfg V(G);
+  DomTree DT = DomTree::buildIterative(V);
+  LoopInfo LI(V, DT);
   ASSERT_EQ(LI.numLoops(), 1u);
   EXPECT_EQ(LI.loop(0).Header, A);
   EXPECT_EQ(LI.loop(0).Backedges, (std::vector<EdgeId>{Self}));
@@ -82,8 +85,9 @@ TEST(LoopInfo, SelfLoop) {
 
 TEST(LoopInfo, IrreducibleEdgesDetected) {
   Cfg G = irreducibleCfg(1);
-  DomTree DT = DomTree::buildIterative(G);
-  LoopInfo LI(G, DT);
+  FrozenCfg V(G);
+  DomTree DT = DomTree::buildIterative(V);
+  LoopInfo LI(V, DT);
   EXPECT_FALSE(LI.irreducibleEdges().empty());
 }
 
@@ -91,11 +95,12 @@ TEST(LoopInfo, AgreesWithPstLoopRegions) {
   // Every region the PST classifies as a loop must contain a natural loop
   // header (for reducible graphs).
   for (const Cfg &G : {nestedWhileCfg(2, 2), nestedRepeatUntilCfg(3)}) {
-    DomTree DT = DomTree::buildIterative(G);
-    LoopInfo LI(G, DT);
-    ProgramStructureTree T = ProgramStructureTree::build(G);
+    FrozenCfg V(G);
+    DomTree DT = DomTree::buildIterative(V);
+    LoopInfo LI(V, DT);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
     for (RegionId R = 1; R < T.numRegions(); ++R) {
-      if (classifyRegion(G, T, R) != RegionKind::Loop)
+      if (classifyRegion(V, T, R) != RegionKind::Loop)
         continue;
       bool HasHeader = false;
       for (NodeId N : T.allNodes(R))
@@ -112,7 +117,7 @@ TEST(LoopInfo, AgreesWithPstLoopRegions) {
 
 TEST(Intervals, ChainIsOneInterval) {
   Cfg G = chainCfg(4);
-  IntervalPartition P = computeIntervals(G);
+  IntervalPartition P = computeIntervals(FrozenCfg(G));
   ASSERT_EQ(P.Intervals.size(), 1u);
   EXPECT_EQ(P.Intervals[0].Header, G.entry());
   EXPECT_EQ(P.Intervals[0].Nodes.size(), G.numNodes());
@@ -120,7 +125,7 @@ TEST(Intervals, ChainIsOneInterval) {
 
 TEST(Intervals, LoopHeaderStartsNewInterval) {
   Cfg G = nestedWhileCfg(1);
-  IntervalPartition P = computeIntervals(G);
+  IntervalPartition P = computeIntervals(FrozenCfg(G));
   // entry | head-led interval: the backedge keeps head out of entry's
   // interval.
   EXPECT_GE(P.Intervals.size(), 2u);
@@ -136,7 +141,7 @@ TEST(Intervals, SingleEntryProperty) {
   Opts.NumNodes = 20;
   Opts.NumExtraEdges = 18;
   Cfg G = randomBackboneCfg(R, Opts);
-  IntervalPartition P = computeIntervals(G);
+  IntervalPartition P = computeIntervals(FrozenCfg(G));
   // Every node belongs to exactly one interval, and every non-header
   // member has all non-self preds inside its interval.
   for (NodeId N = 0; N < G.numNodes(); ++N) {
@@ -166,7 +171,7 @@ TEST(Intervals, ReducibilityAgreesWithT1T2OnClassics) {
        {chainCfg(3), diamondLadderCfg(2), nestedWhileCfg(3),
         nestedRepeatUntilCfg(4), irreducibleCfg(1), irreducibleCfg(3),
         paperFigure1Cfg()}) {
-    EXPECT_EQ(isReducibleByIntervals(G), isReducible(G));
+    EXPECT_EQ(isReducibleByIntervals(G), isReducible(FrozenCfg(G)));
   }
 }
 
@@ -182,7 +187,8 @@ TEST_P(IntervalsRandomTest, ReducibilityAgreesWithT1T2) {
   Opts.ParallelProb = 0.1;
   Cfg G = randomBackboneCfg(R, Opts);
   ASSERT_TRUE(validateCfg(G));
-  EXPECT_EQ(isReducibleByIntervals(G), isReducible(G)) << "seed " << Seed;
+  EXPECT_EQ(isReducibleByIntervals(G), isReducible(FrozenCfg(G)))
+      << "seed " << Seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalsRandomTest,
@@ -201,11 +207,12 @@ TEST_P(IntervalsTheorem10, RegionBodiesReduceToOneInterval) {
   Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(16));
   Cfg G = randomBackboneCfg(R, Opts);
   ASSERT_TRUE(validateCfg(G));
-  if (!isReducible(G))
+  FrozenCfg V(G);
+  if (!isReducible(V))
     GTEST_SKIP() << "sample is irreducible";
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   for (RegionId Rg = 1; Rg < T.numRegions(); ++Rg) {
-    CollapsedBody B = collapseRegion(G, T, Rg);
+    CollapsedBody B = collapseRegion(V, T, Rg);
     Cfg Q;
     for (uint32_t I = 0; I < B.numNodes(); ++I)
       Q.addNode();

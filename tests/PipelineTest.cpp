@@ -47,17 +47,19 @@ TEST(Pipeline, CorpusFunctionsAreValidAndAnalyzable) {
   for (const auto &C : corpusSlice(25, 400)) {
     std::string Why;
     ASSERT_TRUE(validateCfg(C.Fn.Graph, &Why)) << C.Fn.Name << ": " << Why;
-    ProgramStructureTree T = ProgramStructureTree::build(C.Fn.Graph);
-    PstStats S = computePstStats(C.Fn.Graph, T);
+    FrozenCfg V(C.Fn.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
+    PstStats S = computePstStats(V, T);
     EXPECT_GE(S.NumRegions, 1u) << C.Fn.Name;
   }
 }
 
 TEST(Pipeline, PhiPlacementsAgreeOnCorpus) {
   for (const auto &C : corpusSlice(20, 250)) {
-    ProgramStructureTree T = ProgramStructureTree::build(C.Fn.Graph);
-    PhiPlacement A = placePhisClassic(C.Fn);
-    PhiPlacement B = placePhisPst(C.Fn, T);
+    FrozenCfg FV(C.Fn.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(FV);
+    PhiPlacement A = placePhisClassic(C.Fn, FV);
+    PhiPlacement B = placePhisPst(C.Fn, FV, T);
     for (VarId V = 0; V < C.Fn.numVars(); ++V)
       ASSERT_EQ(A.PhiBlocks[V], B.PhiBlocks[V])
           << C.Fn.Name << " var " << C.Fn.VarNames[V];
@@ -66,8 +68,9 @@ TEST(Pipeline, PhiPlacementsAgreeOnCorpus) {
 
 TEST(Pipeline, SsaVerifiesOnCorpus) {
   for (const auto &C : corpusSlice(15, 250)) {
-    ProgramStructureTree T = ProgramStructureTree::build(C.Fn.Graph);
-    SsaForm S = buildSsa(C.Fn, placePhisPst(C.Fn, T));
+    FrozenCfg V(C.Fn.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
+    SsaForm S = buildSsa(C.Fn, placePhisPst(C.Fn, V, T));
     std::string Why;
     ASSERT_TRUE(verifySsa(C.Fn, S, &Why)) << C.Fn.Name << ": " << Why;
   }
@@ -75,10 +78,11 @@ TEST(Pipeline, SsaVerifiesOnCorpus) {
 
 TEST(Pipeline, ControlRegionVariantsAgreeOnCorpus) {
   for (const auto &C : corpusSlice(20, 300)) {
+    FrozenCfg V(C.Fn.Graph);
     auto L = canonicalizePartition(
-        computeControlRegionsLinear(C.Fn.Graph).NodeClass);
+        computeControlRegionsLinear(V).NodeClass);
     auto LI = canonicalizePartition(
-        computeControlRegionsLinearImplicit(C.Fn.Graph).NodeClass);
+        computeControlRegionsLinearImplicit(V).NodeClass);
     ASSERT_EQ(L, LI) << C.Fn.Name;
   }
 }
@@ -86,17 +90,18 @@ TEST(Pipeline, ControlRegionVariantsAgreeOnCorpus) {
 TEST(Pipeline, DataflowSolversAgreeOnCorpus) {
   for (const auto &C : corpusSlice(12, 200)) {
     const Cfg &G = C.Fn.Graph;
-    ProgramStructureTree T = ProgramStructureTree::build(G);
+    FrozenCfg V(G);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
     BitVectorProblem P = makeReachingDefs(C.Fn);
-    DataflowSolution It = solveIterative(G, P);
-    DataflowSolution El = solveElimination(G, T, P);
+    DataflowSolution It = solveIterative(V, P);
+    DataflowSolution El = solveElimination(V, T, P);
     for (NodeId N = 0; N < G.numNodes(); ++N) {
       ASSERT_EQ(It.In[N], El.In[N]) << C.Fn.Name;
       ASSERT_EQ(It.Out[N], El.Out[N]) << C.Fn.Name;
     }
-    DomTree DT = DomTree::buildIterative(G);
-    DominanceFrontiers DF(G, DT);
-    DataflowSolution Sg = solveOnSeg(G, DT, DF, P);
+    DomTree DT = DomTree::buildIterative(V);
+    DominanceFrontiers DF(V, DT);
+    DataflowSolution Sg = solveOnSeg(V, DT, DF, P);
     for (NodeId N = 0; N < G.numNodes(); ++N) {
       ASSERT_EQ(It.In[N], Sg.In[N]) << C.Fn.Name;
       ASSERT_EQ(It.Out[N], Sg.Out[N]) << C.Fn.Name;
@@ -107,13 +112,14 @@ TEST(Pipeline, DataflowSolversAgreeOnCorpus) {
 TEST(Pipeline, QpgProjectionAgreesOnCorpus) {
   for (const auto &C : corpusSlice(12, 200)) {
     const Cfg &G = C.Fn.Graph;
-    ProgramStructureTree T = ProgramStructureTree::build(G);
+    FrozenCfg V(G);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
     auto Keys = expressionKeys(C.Fn);
     if (Keys.empty())
       continue;
     BitVectorProblem P = makeSingleExprAvailability(C.Fn, Keys.front());
-    EdgeSolution Sparse = solveOnQpg(G, T, P);
-    EdgeSolution Dense = edgeView(G, solveIterative(G, P));
+    EdgeSolution Sparse = solveOnQpg(V, T, P);
+    EdgeSolution Dense = edgeView(V, solveIterative(V, P));
     for (EdgeId E = 0; E < G.numEdges(); ++E)
       ASSERT_EQ(Sparse.EdgeValue[E], Dense.EdgeValue[E])
           << C.Fn.Name << " edge " << E;
@@ -122,9 +128,10 @@ TEST(Pipeline, QpgProjectionAgreesOnCorpus) {
 
 TEST(Pipeline, PstDominatorsAgreeOnCorpus) {
   for (const auto &C : corpusSlice(20, 300)) {
-    ProgramStructureTree T = ProgramStructureTree::build(C.Fn.Graph);
-    DomTree Ref = DomTree::buildIterative(C.Fn.Graph);
-    DomTree Dc = buildDominatorsViaPst(C.Fn.Graph, T);
+    FrozenCfg V(C.Fn.Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
+    DomTree Ref = DomTree::buildIterative(V);
+    DomTree Dc = buildDominatorsViaPst(V, T);
     for (NodeId N = 0; N < C.Fn.Graph.numNodes(); ++N)
       ASSERT_EQ(Dc.idom(N), Ref.idom(N)) << C.Fn.Name << " node " << N;
   }
@@ -142,8 +149,8 @@ TEST(Pipeline, StatementLevelExpansionStaysConsistent) {
     LoweredFunction S2 = expandToStatementLevel(C.Fn, &FirstOf);
     BitVectorProblem PB = makeReachingDefs(C.Fn);
     BitVectorProblem PS = makeReachingDefs(S2);
-    DataflowSolution A = solveIterative(C.Fn.Graph, PB);
-    DataflowSolution B = solveIterative(S2.Graph, PS);
+    DataflowSolution A = solveIterative(FrozenCfg(C.Fn.Graph), PB);
+    DataflowSolution B = solveIterative(FrozenCfg(S2.Graph), PS);
     // Bit universes match: defs are enumerated in the same order.
     ASSERT_EQ(PB.NumBits, PS.NumBits);
     for (NodeId N = 0; N < C.Fn.Graph.numNodes(); ++N)

@@ -31,7 +31,7 @@ std::set<std::pair<EdgeId, EdgeId>> regionPairs(const ProgramStructureTree &T) {
 }
 
 void expectRegionsMatchOracle(const Cfg &G, uint64_t Seed) {
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   auto Oracle = canonicalRegionsBrute(G);
   std::set<std::pair<EdgeId, EdgeId>> Fast = regionPairs(T);
   std::set<std::pair<EdgeId, EdgeId>> Slow(Oracle.begin(), Oracle.end());
@@ -39,7 +39,7 @@ void expectRegionsMatchOracle(const Cfg &G, uint64_t Seed) {
 }
 
 void expectNestingMatchesOracle(const Cfg &G, uint64_t Seed) {
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   // For every node, the innermost region per Definition 6 over all
   // canonical regions must be what the PST reports.
   for (NodeId N = 0; N < G.numNodes(); ++N) {
@@ -78,7 +78,7 @@ void expectNestingMatchesOracle(const Cfg &G, uint64_t Seed) {
 
 TEST(Pst, ChainRegions) {
   Cfg G = chainCfg(3); // 4 edges, one class -> 3 sequential regions.
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   EXPECT_EQ(T.numCanonicalRegions(), 3u);
   for (RegionId R = 1; R < T.numRegions(); ++R) {
     EXPECT_EQ(T.region(R).Parent, T.root());
@@ -88,7 +88,7 @@ TEST(Pst, ChainRegions) {
 
 TEST(Pst, PaperFigure1Structure) {
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   // Spine class {e0,e5,e8,e9} -> regions (e0,e5) conditional, (e5,e8)
   // loop, (e8,e9) tail. Arms (e1,e3), (e2,e4) nested in the conditional;
   // loop body (e6,e7) nested in the loop.
@@ -119,17 +119,18 @@ TEST(Pst, PaperFigure1Structure) {
 
 TEST(Pst, PaperFigure1Kinds) {
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree T = ProgramStructureTree::build(G);
-  EXPECT_EQ(classifyRegion(G, T, T.regionEnteredBy(0)),
+  FrozenCfg V(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  EXPECT_EQ(classifyRegion(V, T, T.regionEnteredBy(0)),
             RegionKind::IfThenElse);
-  EXPECT_EQ(classifyRegion(G, T, T.regionEnteredBy(5)), RegionKind::Loop);
-  EXPECT_EQ(classifyRegion(G, T, T.regionEnteredBy(8)), RegionKind::Block);
-  EXPECT_EQ(classifyRegion(G, T, T.regionEnteredBy(1)), RegionKind::Block);
+  EXPECT_EQ(classifyRegion(V, T, T.regionEnteredBy(5)), RegionKind::Loop);
+  EXPECT_EQ(classifyRegion(V, T, T.regionEnteredBy(8)), RegionKind::Block);
+  EXPECT_EQ(classifyRegion(V, T, T.regionEnteredBy(1)), RegionKind::Block);
 }
 
 TEST(Pst, RegionOfNodeFigure1) {
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   // start(0) and end(8) sit in the root region; then(2) in the then-arm;
   // head(5)/body(6) in the loop subtree.
   EXPECT_EQ(T.regionOfNode(0), T.root());
@@ -141,7 +142,7 @@ TEST(Pst, RegionOfNodeFigure1) {
 
 TEST(Pst, ContainsIsTransitive) {
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   RegionId Loop = T.regionEnteredBy(5);
   RegionId Body = T.regionEnteredBy(6);
   EXPECT_TRUE(T.contains(T.root(), Body));
@@ -151,8 +152,9 @@ TEST(Pst, ContainsIsTransitive) {
 
 TEST(Pst, DiamondLadderDepths) {
   Cfg G = diamondLadderCfg(3);
-  ProgramStructureTree T = ProgramStructureTree::build(G);
-  PstStats S = computePstStats(G, T);
+  FrozenCfg V(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  PstStats S = computePstStats(V, T);
   // 3 diamond regions + 2 arms each + the pre/post chain regions; nesting
   // depth never exceeds 2.
   EXPECT_EQ(S.MaxDepth, 2u);
@@ -161,16 +163,18 @@ TEST(Pst, DiamondLadderDepths) {
 
 TEST(Pst, NestedWhileDepthGrows) {
   Cfg G = nestedWhileCfg(4);
-  ProgramStructureTree T = ProgramStructureTree::build(G);
-  PstStats S = computePstStats(G, T);
+  FrozenCfg V(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  PstStats S = computePstStats(V, T);
   EXPECT_GE(S.MaxDepth, 4u);
   EXPECT_TRUE(S.FullyStructured);
 }
 
 TEST(Pst, IrreducibleRegionClassified) {
   Cfg G = irreducibleCfg(1);
-  ProgramStructureTree T = ProgramStructureTree::build(G);
-  PstStats S = computePstStats(G, T);
+  FrozenCfg V(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  PstStats S = computePstStats(V, T);
   EXPECT_FALSE(S.FullyStructured);
   EXPECT_GT(S.WeightedKind[static_cast<size_t>(
                 RegionKind::CyclicUnstructured)],
@@ -179,8 +183,9 @@ TEST(Pst, IrreducibleRegionClassified) {
 
 TEST(Pst, CollapsedBodyOfRootDiamond) {
   Cfg G = diamondLadderCfg(1);
-  ProgramStructureTree T = ProgramStructureTree::build(G);
-  CollapsedBody B = collapseRegion(G, T, T.root());
+  FrozenCfg V(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  CollapsedBody B = collapseRegion(V, T, T.root());
   // Root body: entry, exit, plus collapsed top-level regions.
   EXPECT_GE(B.numNodes(), 3u);
   EXPECT_TRUE(B.Nodes[B.EntryQ].Node == G.entry() ||
@@ -189,7 +194,7 @@ TEST(Pst, CollapsedBodyOfRootDiamond) {
 
 TEST(Pst, FormatPstMentionsRegions) {
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   std::string S = formatPst(G, T);
   EXPECT_NE(S.find("procedure"), std::string::npos);
   EXPECT_NE(S.find("if-then-else"), std::string::npos);
@@ -240,7 +245,7 @@ TEST_P(PstStructuredTest, TheoremOneNoPartialOverlap) {
   Opts.NumExtraEdges = 2 + static_cast<uint32_t>(R.nextBelow(10));
   Cfg G = randomBackboneCfg(R, Opts);
   ASSERT_TRUE(validateCfg(G));
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   // Theorem 1: the node sets of two canonical regions are disjoint or
   // nested. Verify over the PST's own reported containment.
   for (RegionId A = 1; A < T.numRegions(); ++A) {
@@ -271,9 +276,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PstStructuredTest,
 namespace {
 
 void expectPstDomMatches(const Cfg &G, uint64_t Seed) {
-  ProgramStructureTree T = ProgramStructureTree::build(G);
-  DomTree Ref = DomTree::buildIterative(G);
-  DomTree Dc = buildDominatorsViaPst(G, T);
+  FrozenCfg V(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  DomTree Ref = DomTree::buildIterative(V);
+  DomTree Dc = buildDominatorsViaPst(V, T);
   for (NodeId N = 0; N < G.numNodes(); ++N)
     ASSERT_EQ(Dc.idom(N), Ref.idom(N))
         << "seed " << Seed << " node " << N << " (" << G.nodeName(N) << ")";
@@ -323,11 +329,12 @@ TEST_P(Theorem10Test, RegionBodiesOfReducibleGraphsAreReducible) {
   Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(20));
   Cfg G = randomBackboneCfg(R, Opts);
   ASSERT_TRUE(validateCfg(G));
-  if (!isReducible(G))
+  FrozenCfg V(G);
+  if (!isReducible(V))
     GTEST_SKIP() << "sample is irreducible";
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   for (RegionId Rg = 1; Rg < T.numRegions(); ++Rg) {
-    CollapsedBody B = collapseRegion(G, T, Rg);
+    CollapsedBody B = collapseRegion(V, T, Rg);
     Cfg Q;
     for (uint32_t I = 0; I < B.numNodes(); ++I)
       Q.addNode();
@@ -335,7 +342,8 @@ TEST_P(Theorem10Test, RegionBodiesOfReducibleGraphsAreReducible) {
       Q.addEdge(E.Src, E.Dst);
     Q.setEntry(B.EntryQ);
     Q.setExit(B.ExitQ);
-    EXPECT_TRUE(isReducible(Q)) << "seed " << Seed << " region " << Rg;
+    EXPECT_TRUE(isReducible(FrozenCfg(Q)))
+        << "seed " << Seed << " region " << Rg;
   }
 }
 
@@ -386,11 +394,11 @@ TEST_P(CycleEquivOrderInvariance, PartitionIndependentOfEdgeOrder) {
   Cfg G = randomBackboneCfg(R, Opts);
   ASSERT_TRUE(validateCfg(G));
 
-  CycleEquivResult A = G.numEdges() ? computeCycleEquivalence(G)
+  CycleEquivResult A = G.numEdges() ? computeCycleEquivalence(FrozenCfg(G))
                                     : CycleEquivResult{};
   std::vector<EdgeId> Perm;
   Cfg H = shuffleEdges(G, R, Perm);
-  CycleEquivResult B = computeCycleEquivalence(H);
+  CycleEquivResult B = computeCycleEquivalence(FrozenCfg(H));
 
   // Map H's classes back onto G's edge order and compare partitions.
   std::vector<uint32_t> Mapped(G.numEdges() + 1);

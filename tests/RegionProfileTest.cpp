@@ -149,7 +149,7 @@ TEST(EdgeCounts, FlowConservationOnRandomPrograms) {
 TEST(RegionProfile, RejectsUnfinishedAndUncountedRuns) {
   LoweredFunction F = compileOne(
       "func f(x) { var i = 0; while (x > 0) { i = i + 1; } return i; }");
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(F.Graph));
   RegionProfile P(F, T);
   // No edge counts.
   EXPECT_FALSE(P.addRun(runLowered(F, {0})));
@@ -170,7 +170,7 @@ TEST(RegionProfile, InvariantsOnRandomPrograms) {
     Function Fn = generateFunction(R, Opts, "gen");
     auto L = lowerFunction(Fn);
     ASSERT_TRUE(L.has_value());
-    ProgramStructureTree T = ProgramStructureTree::build(L->Graph);
+    ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(L->Graph));
     RegionProfile P(*L, T);
     for (int64_t A = 0; A < 4; ++A)
       if (P.runAndAdd({A * 3 + 1, 5 - A, A}, 200000).Finished)
@@ -211,7 +211,7 @@ TEST(RegionProfile, WhileLoopTripCounts) {
   LoweredFunction F = compileOne(
       "func f(n) { var i = 0; var s = 0; while (i < n) { s = s + i; "
       "i = i + 1; } return s; }");
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(F.Graph));
   RegionProfile P(F, T);
   EXPECT_TRUE(P.runAndAdd({5}).Finished);
   EXPECT_TRUE(P.runAndAdd({0}).Finished);
@@ -245,7 +245,8 @@ TEST(RegionProfile, WhileLoopTripCounts) {
 
 TEST(Planner, HotLoopIsTopRanked) {
   LoweredFunction F = compileOne(HotLoopSource);
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  FrozenCfg V(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   RegionProfile P(F, T);
   for (uint64_t Run = 0; Run < 8; ++Run)
     EXPECT_TRUE(P.runAndAdd({static_cast<int64_t>((7 * Run + 5) % 23),
@@ -263,8 +264,8 @@ TEST(Planner, HotLoopIsTopRanked) {
   // The top region is the canonical SESE region of the hot (outermost)
   // natural loop: it contains every node of that loop and is itself
   // contained in no planned region.
-  DomTree DT = DomTree::buildIterative(F.Graph);
-  LoopInfo LI(F.Graph, DT);
+  DomTree DT = DomTree::buildIterative(V);
+  LoopInfo LI(V, DT);
   LoopId Outer = InvalidLoop;
   for (LoopId L = 0; L < LI.numLoops(); ++L)
     if (LI.loop(L).Depth == 1) {
@@ -290,7 +291,7 @@ func twoloops(n, m) {
   return a;
 }
 )");
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(F.Graph));
   RegionProfile P(F, T);
   for (int64_t A = 4; A <= 24; A += 5)
     EXPECT_TRUE(P.runAndAdd({A, 29 - A}).Finished);
@@ -312,7 +313,7 @@ func twoloops(n, m) {
 
 TEST(Planner, GoldenPlanOnHotLoopNest) {
   LoweredFunction F = compileOne(HotLoopSource);
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(F.Graph));
   RegionProfile P(F, T);
   const int64_t Workload[][2] = {{6, 7}, {3, 11}, {0, 5}, {12, 2}};
   for (auto [N, M] : Workload)
@@ -327,7 +328,7 @@ TEST(Planner, GoldenPlanOnHotLoopNest) {
 
 TEST(Planner, GoldenPlanOnMixedShape) {
   LoweredFunction F = compileOne(MixSource);
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(F.Graph));
   RegionProfile P(F, T);
   const int64_t Workload[][2] = {{9, 3}, {14, -20}, {2, 150}};
   for (auto [N, Bias] : Workload)
@@ -348,7 +349,7 @@ TEST(Planner, GoldenPlanOnMixedShape) {
 
 TEST(ProfileReport, JsonByteDeterministic) {
   LoweredFunction F = compileOne(HotLoopSource);
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(F.Graph));
   auto MakeJson = [&] {
     RegionProfile P(F, T);
     for (uint64_t Run = 0; Run < 6; ++Run)

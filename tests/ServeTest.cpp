@@ -667,4 +667,31 @@ TEST(ProtocolTest, SessionSurfacesErrorsWithoutDying) {
   EXPECT_EQ(L3, "ok name fn=1 fn1");
 }
 
+TEST(ProtocolTest, OverlongLineGetsOneErrorAndSessionContinues) {
+  PstServer Server(makeTestImage());
+  // A multi-megabyte request (a phi def list nobody should send) between
+  // two valid queries, batched with them: exactly three responses, in
+  // input order, and the session keeps serving after the discarded bytes.
+  std::string Huge = "phi 0 ";
+  while (Huge.size() < 4 * 1024 * 1024)
+    Huge += "1,";
+  std::string Out =
+      runScript(Server, "name 0\n" + Huge + "2\nname 1\ncommit\nname 2\n", 256);
+  EXPECT_EQ(Out, "ok name fn=0 fn0\n"
+                 "err line exceeds " +
+                     std::to_string(MaxLineBytes) +
+                     " bytes\n"
+                     "ok name fn=1 fn1\n"
+                     "ok commit versions=[0,0,0,0]\n"
+                     "ok name fn=2 fn2\n");
+
+  // A line of exactly the cap is still parsed normally, and an overlong
+  // final line without a newline is answered too.
+  std::string AtCap = "name 3";
+  AtCap.resize(MaxLineBytes, ' ');
+  EXPECT_EQ(runScript(Server, AtCap + "\n" + Huge, 256),
+            "ok name fn=3 fn3\nerr line exceeds " +
+                std::to_string(MaxLineBytes) + " bytes\n");
+}
+
 } // namespace

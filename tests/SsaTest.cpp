@@ -37,9 +37,10 @@ VarId varOf(const LoweredFunction &F, const std::string &Name) {
 }
 
 void expectPlacementsEqual(const LoweredFunction &F) {
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
-  PhiPlacement Classic = placePhisClassic(F);
-  PhiPlacement Pst = placePhisPst(F, T);
+  FrozenCfg FV(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(FV);
+  PhiPlacement Classic = placePhisClassic(F, FV);
+  PhiPlacement Pst = placePhisPst(F, FV, T);
   ASSERT_EQ(Classic.PhiBlocks.size(), Pst.PhiBlocks.size());
   for (VarId V = 0; V < F.numVars(); ++V)
     EXPECT_EQ(Classic.PhiBlocks[V], Pst.PhiBlocks[V])
@@ -51,7 +52,7 @@ void expectPlacementsEqual(const LoweredFunction &F) {
 TEST(PhiPlacement, StraightLineNeedsNoPhis) {
   LoweredFunction F =
       compileOne("func f(a) { var x = a; x = x + 1; return x; }");
-  PhiPlacement P = placePhisClassic(F);
+  PhiPlacement P = placePhisClassic(F, FrozenCfg(F.Graph));
   for (VarId V = 0; V < F.numVars(); ++V)
     EXPECT_TRUE(P.PhiBlocks[V].empty());
 }
@@ -60,7 +61,7 @@ TEST(PhiPlacement, DiamondJoinGetsPhi) {
   LoweredFunction F = compileOne(
       "func f(a) { var x = 0; if (a > 0) { x = 1; } else { x = 2; } "
       "return x; }");
-  PhiPlacement P = placePhisClassic(F);
+  PhiPlacement P = placePhisClassic(F, FrozenCfg(F.Graph));
   VarId X = varOf(F, "x");
   ASSERT_EQ(P.PhiBlocks[X].size(), 1u);
   // The phi block is the join: both arms are its predecessors.
@@ -73,7 +74,7 @@ TEST(PhiPlacement, DiamondJoinGetsPhi) {
 TEST(PhiPlacement, LoopHeaderGetsPhi) {
   LoweredFunction F = compileOne(
       "func f(n) { var i = 0; while (i < n) { i = i + 1; } return i; }");
-  PhiPlacement P = placePhisClassic(F);
+  PhiPlacement P = placePhisClassic(F, FrozenCfg(F.Graph));
   VarId I = varOf(F, "i");
   ASSERT_FALSE(P.PhiBlocks[I].empty());
   // The loop header is a phi block (merge of entry path and backedge).
@@ -124,8 +125,9 @@ TEST(PhiPlacement, PstExaminesFewerRegionsForLocalVars) {
       return a + b + c + s;
     }
   )");
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
-  PhiPlacement P = placePhisPst(F, T);
+  FrozenCfg V(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  PhiPlacement P = placePhisPst(F, V, T);
   VarId S = varOf(F, "s");
   EXPECT_LT(P.RegionsExamined[S], P.RegionsTotal);
   EXPECT_GT(P.RegionsTotal, 5u);
@@ -151,7 +153,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PhiPlacementRandomTest,
 TEST(SsaBuilder, StraightLineVersions) {
   LoweredFunction F =
       compileOne("func f(a) { var x = a; x = x + a; return x; }");
-  SsaForm S = buildSsa(F, placePhisClassic(F));
+  SsaForm S = buildSsa(F, placePhisClassic(F, FrozenCfg(F.Graph)));
   std::string Why;
   EXPECT_TRUE(verifySsa(F, S, &Why)) << Why;
   VarId X = varOf(F, "x");
@@ -163,7 +165,7 @@ TEST(SsaBuilder, DiamondPhiOperands) {
   LoweredFunction F = compileOne(
       "func f(a) { var x = 0; if (a > 0) { x = 1; } else { x = 2; } "
       "return x; }");
-  SsaForm S = buildSsa(F, placePhisClassic(F));
+  SsaForm S = buildSsa(F, placePhisClassic(F, FrozenCfg(F.Graph)));
   std::string Why;
   ASSERT_TRUE(verifySsa(F, S, &Why)) << Why;
   EXPECT_EQ(S.numPhis(), 1u);
@@ -180,7 +182,7 @@ TEST(SsaBuilder, DiamondPhiOperands) {
 TEST(SsaBuilder, LoopPhiUsesBackedgeVersion) {
   LoweredFunction F = compileOne(
       "func f(n) { var i = 0; while (i < n) { i = i + 1; } return i; }");
-  SsaForm S = buildSsa(F, placePhisClassic(F));
+  SsaForm S = buildSsa(F, placePhisClassic(F, FrozenCfg(F.Graph)));
   std::string Why;
   ASSERT_TRUE(verifySsa(F, S, &Why)) << Why;
   EXPECT_GE(S.numPhis(), 1u);
@@ -198,8 +200,9 @@ TEST(SsaBuilder, PstPlacementProducesVerifiableSsa) {
       return s;
     }
   )");
-  ProgramStructureTree T = ProgramStructureTree::build(F.Graph);
-  SsaForm S = buildSsa(F, placePhisPst(F, T));
+  FrozenCfg V(F.Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  SsaForm S = buildSsa(F, placePhisPst(F, V, T));
   std::string Why;
   EXPECT_TRUE(verifySsa(F, S, &Why)) << Why;
 }
@@ -207,7 +210,7 @@ TEST(SsaBuilder, PstPlacementProducesVerifiableSsa) {
 TEST(SsaBuilder, FormatShowsPhis) {
   LoweredFunction F = compileOne(
       "func f(a) { var x = 0; if (a > 0) { x = 1; } return x; }");
-  SsaForm S = buildSsa(F, placePhisClassic(F));
+  SsaForm S = buildSsa(F, placePhisClassic(F, FrozenCfg(F.Graph)));
   std::string Text = formatSsa(F, S);
   EXPECT_NE(Text.find("phi("), std::string::npos);
   EXPECT_NE(Text.find("x."), std::string::npos);
@@ -224,10 +227,11 @@ TEST_P(SsaRandomTest, RenamingVerifiesOnGeneratedPrograms) {
   auto L = lowerFunction(Fn);
   ASSERT_TRUE(L.has_value());
 
-  ProgramStructureTree T = ProgramStructureTree::build(L->Graph);
+  FrozenCfg V(L->Graph);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   for (bool UsePst : {false, true}) {
-    SsaForm S =
-        buildSsa(*L, UsePst ? placePhisPst(*L, T) : placePhisClassic(*L));
+    SsaForm S = buildSsa(*L, UsePst ? placePhisPst(*L, V, T)
+                                    : placePhisClassic(*L, V));
     std::string Why;
     ASSERT_TRUE(verifySsa(*L, S, &Why))
         << "seed " << GetParam() << (UsePst ? " pst: " : " classic: ")

@@ -397,7 +397,7 @@ TEST(StreamImageWriter, RefusesFillBeforeAllShapes) {
   std::string Name;
   StreamCorpusOptions Opts;
   generateStreamFunction(Opts, 0, G, Name);
-  ProgramStructureTree T = ProgramStructureTree::build(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
   W.addShape(G, T, Name);
   std::string Error;
   EXPECT_FALSE(W.beginFill(&Error)); // Only 1 of 4 shapes recorded.

@@ -526,8 +526,9 @@ TEST_F(TelemetryTest, PipelineProbesPopulate) {
   Telemetry::setEnabled(true);
   Telemetry::setTraceEnabled(true);
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree T = ProgramStructureTree::build(G);
-  ControlRegionsResult CR = computeControlRegionsLinearImplicit(G);
+  FrozenCfg FV(G);
+  ProgramStructureTree T = ProgramStructureTree::build(FV);
+  ControlRegionsResult CR = computeControlRegionsLinearImplicit(FV);
   (void)T;
   (void)CR;
 
