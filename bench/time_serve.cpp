@@ -279,7 +279,6 @@ struct KindTiming {
   uint64_t UncachedNs = 0; ///< Best-of-passes total ns, cache disabled.
   uint64_t ColdNs = 0;     ///< Total ns, first cached pass (builds bundles).
   uint64_t WarmNs = 0;     ///< Best-of-passes total ns, warm cached passes.
-  bool Gated = false;      ///< Participates in the >=5x warm gate.
 
   double uncachedMeanNs() const { return double(UncachedNs) / Count; }
   double coldMeanNs() const { return double(ColdNs) / Count; }
@@ -298,10 +297,6 @@ std::vector<Request> kindRequests(const CorpusImage &Img, RequestKind Kind) {
     R.Kind = Kind;
     R.Fn = Fn;
     switch (Kind) {
-    case RequestKind::Region:
-      R.A = Nodes - 1;
-      R.B = Nodes / 2;
-      break;
     case RequestKind::Cdep:
     case RequestKind::Dom:
       R.A = Nodes / 2;
@@ -346,19 +341,20 @@ PstServer makeServer(std::vector<uint8_t> ImageBytes, uint32_t NumShards,
   return PstServer(std::move(Img), Opts);
 }
 
-/// Runs every query kind over every function three ways — cache disabled,
+/// Runs each bundle-backed query kind (dom, cdep, phi) over every function
+/// three ways — cache disabled,
 /// cache cold (first touch builds), cache warm — and checks the response
 /// strings agree across all three. Gates: warm dom/cdep/phi means must
 /// beat the uncached means by WARM_SPEEDUP_GATE, and the cached server
 /// must have built exactly one bundle per function.
 std::vector<KindTiming> runColdWarm(const std::vector<uint8_t> &Bytes,
                                     uint32_t NumShards) {
+  // region and regions read the PST directly and never touch a bundle, so
+  // their cached and uncached runs are the same code; dom is the cold pass.
   std::vector<KindTiming> Kinds = {
-      {"region", RequestKind::Region, 0, 0, 0, 0, false},
-      {"regions", RequestKind::Regions, 0, 0, 0, 0, false},
-      {"dom", RequestKind::Dom, 0, 0, 0, 0, true},
-      {"cdep", RequestKind::Cdep, 0, 0, 0, 0, true},
-      {"phi", RequestKind::Phi, 0, 0, 0, 0, true},
+      {"dom", RequestKind::Dom},
+      {"cdep", RequestKind::Cdep},
+      {"phi", RequestKind::Phi},
   };
 
   PstServer Uncached = makeServer(Bytes, NumShards, /*DerivedCache=*/false);
@@ -390,7 +386,7 @@ std::vector<KindTiming> runColdWarm(const std::vector<uint8_t> &Bytes,
     }
   }
 
-  // Every function's bundle was needed by all five kind passes but must
+  // Every function's bundle was needed by all three kind passes but must
   // have been built exactly once (the once-init contract at bench scale).
   DerivedCacheStats CS = Cached.derivedCacheStats();
   if (CS.Builds != Cached.numFunctions()) {
@@ -407,16 +403,16 @@ std::vector<KindTiming> runColdWarm(const std::vector<uint8_t> &Bytes,
   bool GateOk = true;
   for (const KindTiming &K : Kinds) {
     std::printf("%-8s uncached=%.0fns  cold=%.0fns  warm=%.0fns  "
-                "speedup=%.1fx%s\n",
+                "speedup=%.1fx\n",
                 K.Name, K.uncachedMeanNs(), K.coldMeanNs(), K.warmMeanNs(),
-                K.warmSpeedup(), K.Gated ? "  (gated)" : "");
-    if (K.Gated && K.warmSpeedup() < WARM_SPEEDUP_GATE)
+                K.warmSpeedup());
+    if (K.warmSpeedup() < WARM_SPEEDUP_GATE)
       GateOk = false;
   }
   if (!GateOk) {
     std::cerr << "FAIL: warm cached latency did not beat the uncached path "
               << "by at least " << WARM_SPEEDUP_GATE
-              << "x for every gated kind\n";
+              << "x for every kind\n";
     std::exit(1);
   }
   return Kinds;
@@ -538,8 +534,7 @@ void writeJson(const std::string &Path, size_t NumFns, uint32_t NumShards,
     OS << "    \"" << K.Name << "\": {\"uncached_ns\": " << K.uncachedMeanNs()
        << ", \"cold_ns\": " << K.coldMeanNs()
        << ", \"warm_ns\": " << K.warmMeanNs()
-       << ", \"warm_speedup\": " << K.warmSpeedup()
-       << ", \"gated\": " << (K.Gated ? "true" : "false") << "}"
+       << ", \"warm_speedup\": " << K.warmSpeedup() << "}"
        << (I + 1 < Kinds.size() ? "," : "") << "\n";
   }
   OS << "  },\n";

@@ -3,7 +3,8 @@
 // Serves a frozen corpus image over the line protocol in
 // pst/serve/Protocol.h: region lookups, control-dependence sets,
 // dominators and phi placement against pinned epoch snapshots, with
-// edits committing through per-shard IncrementalPst writers.
+// edits applied by per-shard writers and each commit refreezing the
+// edited functions from scratch.
 //
 // Usage:
 //   pstserve --image <file> [options]

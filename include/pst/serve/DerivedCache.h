@@ -9,8 +9,9 @@
 /// \file
 /// The per-epoch derived-analysis cache: lazily materialized bundles of
 /// everything a query needs beyond the frozen CFG/PST pair — dominator
-/// tree, postdominator tree, dominance frontiers, the control-dependence
-/// CSR, and the Euler-tour LCA index over the PST.
+/// tree, postdominator tree, dominance frontiers and the control-dependence
+/// CSR. `region` and `regions` read the PST directly and never touch a
+/// bundle.
 ///
 /// One \c DerivedSlot guards one function's bundle with a single atomic
 /// pointer in three states: null (empty), a sentinel (a build is in
@@ -39,7 +40,7 @@
 #ifndef PST_SERVE_DERIVEDCACHE_H
 #define PST_SERVE_DERIVEDCACHE_H
 
-#include "pst/core/PstLca.h"
+#include "pst/core/ProgramStructureTree.h"
 #include "pst/dom/ControlDependenceCsr.h"
 #include "pst/dom/Dominators.h"
 
@@ -50,30 +51,24 @@
 namespace pst {
 namespace serve {
 
-/// Everything the query kinds derive from one frozen function:
-/// dom/postdom trees, dominance frontiers, the cdep CSR, the PST LCA
-/// index, and the memoized region summary. Immutable after construction;
-/// self-contained (no references into the views it was built from).
+/// Everything the dom/cdep/phi queries derive from one frozen function:
+/// dom/postdom trees, dominance frontiers and the cdep CSR. Immutable
+/// after construction; self-contained (no references into the view it was
+/// built from).
 struct DerivedBundle {
-  DerivedBundle(const CfgView &V, const ProgramStructureTree &T)
+  // The tree is unused; the parameter stays because perfbench/ builds
+  // bundles through this signature.
+  DerivedBundle(const CfgView &V, const ProgramStructureTree &)
       : Dom(DomTree::buildIterative(V)), PostDom(DomTree::buildPostDom(V)),
-        Df(V, Dom), Cdep(V, PostDom), Lca(T), MaxDepth(Lca.maxDepth()),
-        NumRegions(T.numRegions()),
-        NumCanonicalRegions(T.numCanonicalRegions()) {
+        Df(V, Dom), Cdep(V, PostDom) {
     Bytes = sizeof(DerivedBundle) + Dom.bytes() + PostDom.bytes() +
-            Df.bytes() + Cdep.bytes() + Lca.bytes();
+            Df.bytes() + Cdep.bytes();
   }
 
   DomTree Dom;
   DomTree PostDom;
   DominanceFrontiers Df;
   ControlDependenceCsr Cdep;
-  PstLca Lca;
-  /// Memoized `regions` summary (satellite: no per-query region-table
-  /// scan).
-  uint32_t MaxDepth;
-  uint32_t NumRegions;
-  uint32_t NumCanonicalRegions;
   /// Approximate footprint, computed once at build.
   size_t Bytes = 0;
 };

@@ -86,9 +86,9 @@ struct ServeOptions {
   /// Epoch table capacity per shard (see EpochTable.h on sizing).
   uint32_t EpochCapacity = 64;
   /// Per-epoch derived-analysis cache (DerivedCache.h): first touch of a
-  /// function builds its dom/postdom/frontier/cdep-CSR/LCA bundle once
-  /// per epoch; later queries reuse it. Responses are byte-identical
-  /// either way (gated by tests and `time_serve`); disable
+  /// function by dom/cdep/phi builds its dom/postdom/frontier/cdep-CSR
+  /// bundle once per epoch; later queries reuse it. Responses are
+  /// byte-identical either way (gated by tests and `time_serve`); disable
   /// (`pstserve --no-derived-cache`) to force per-query recomputation.
   bool DerivedCache = true;
 };

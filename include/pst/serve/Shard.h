@@ -20,25 +20,20 @@
 /// image: functions the shard has committed edits for resolve to their
 /// latest \c FunctionSnapshot, everything else to the mapped base image's
 /// zero-copy views. Readers pin an epoch, resolve functions against it,
-/// and drop the pin; the writer journals edits into per-function
-/// `DynamicCfg`/`IncrementalPst` pairs and, at \c commit, folds each
-/// dirty function's journal (IncrementalPst's dirty-region rebuild keeps
-/// edit-time validation and stats local), refreezes the dirtied functions
-/// from their materialized graphs, and publishes a new epoch. Freezing
-/// from the materialized graph — rather than serializing IncrementalPst's
-/// live tree — is what makes the byte-identity invariant (published
-/// snapshot == from-scratch freeze of the current graph) hold exactly:
-/// the incremental tree recycles region ids and is *structurally*
-/// validated against from-scratch builds (`equalsFromScratch`), but its
-/// id assignment is not the dense from-scratch numbering an image
-/// freezes. The refreeze cost is bounded by the dirty set, not the shard.
+/// and drop the pin; the writer applies edits to a per-function
+/// `DynamicCfg` (which rejects any edit that would break Definition 1)
+/// and, at \c commit, materializes each dirty function's graph, freezes
+/// it from scratch, and publishes a new epoch. So a published snapshot is
+/// by construction the from-scratch freeze of the current graph, which
+/// \c verifyPublished re-checks byte for byte. The commit cost is bounded
+/// by the dirty set, not the shard.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PST_SERVE_SHARD_H
 #define PST_SERVE_SHARD_H
 
-#include "pst/incremental/IncrementalPst.h"
+#include "pst/incremental/DynamicCfg.h"
 #include "pst/serve/EpochTable.h"
 #include "pst/serve/Snapshot.h"
 
@@ -48,6 +43,12 @@
 
 namespace pst {
 namespace serve {
+
+/// Cap on each function's node count and on its edge count (tombstoned
+/// edges included) under edits. An edit that would pass it is rejected
+/// like any invalid edit, so protocol clients cannot grow a function
+/// without bound.
+inline constexpr uint32_t MaxFunctionSize = 1u << 16;
 
 /// An immutable published view of one shard: version + overlay of
 /// refrozen functions (sorted by function id) over the base image.
@@ -78,7 +79,7 @@ struct ResolvedFunction {
 
 struct ShardStats {
   uint64_t Edits = 0;         ///< Accepted edits journaled so far.
-  uint64_t EditsRejected = 0; ///< Edits refused by CFG-validity checks.
+  uint64_t EditsRejected = 0; ///< Edits refused by validity or size checks.
   uint64_t Commits = 0;       ///< Commit batches published (excl. epoch 0).
   uint64_t Refrozen = 0;      ///< Function snapshots rebuilt across commits.
   uint64_t Published = 0;     ///< EpochTable publishes (incl. epoch 0).
@@ -110,8 +111,9 @@ public:
 
   /// Journals an edit on \p Fn. Edge-addressed forms take (Src, Dst) and
   /// resolve to the first live edge with those endpoints in the writer's
-  /// current graph. Rejected edits (validity, unknown edge) return the
-  /// Invalid sentinel / false and journal nothing.
+  /// current graph. Rejected edits (validity, unknown edge, growth past
+  /// \c MaxFunctionSize) return the Invalid sentinel / false and journal
+  /// nothing.
   EdgeId insertEdge(uint64_t Fn, NodeId Src, NodeId Dst);
   bool deleteEdge(uint64_t Fn, NodeId Src, NodeId Dst);
   NodeId splitBlock(uint64_t Fn, NodeId Src, NodeId Dst);
@@ -120,9 +122,9 @@ public:
   /// Functions with journaled-but-unpublished edits.
   uint32_t pendingFunctions() const;
 
-  /// Commits every dirty function's journal, refreezes those functions,
-  /// and publishes a new epoch. Returns the published version (the
-  /// current version unchanged if nothing was dirty).
+  /// Refreezes every dirty function from its materialized graph and
+  /// publishes a new epoch. Returns the published version (the current
+  /// version unchanged if nothing was dirty).
   uint64_t commit();
 
   /// Re-checks the byte-identity invariant for every overlaid function
@@ -136,16 +138,11 @@ public:
   /// the from-scratch oracle input.
   Cfg writerGraph(uint64_t Fn) const;
 
-  /// Incremental-maintenance stats for \p Fn, or null if the shard never
-  /// edited it. Writer thread or quiescence only.
-  const IncrementalPstStats *writerStats(uint64_t Fn) const;
-
   ShardStats stats() const;
 
 private:
   struct FunctionWriter {
-    std::unique_ptr<DynamicCfg> Graph;
-    std::unique_ptr<IncrementalPst> Inc;
+    DynamicCfg Graph;
     std::string Name;
     bool Dirty = false;
   };
@@ -153,7 +150,10 @@ private:
   /// Lazily materializes the writer state for \p Fn from the base image.
   FunctionWriter &writer(uint64_t Fn);
   /// First live edge Src -> Dst in \p W's graph, or InvalidEdge.
-  EdgeId findLiveEdge(const FunctionWriter &W, NodeId Src, NodeId Dst) const;
+  static EdgeId findLiveEdge(const FunctionWriter &W, NodeId Src, NodeId Dst);
+  /// Counts an edit on \p W as accepted (marking it dirty) or rejected;
+  /// returns \p Accepted.
+  bool record(FunctionWriter &W, bool Accepted);
 
   const CorpusImage &Base;
   uint32_t Index;

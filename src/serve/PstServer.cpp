@@ -4,13 +4,15 @@
 //
 // Query execution: every query pins its shard's current epoch, resolves
 // the function to zero-copy views, computes against those views only,
-// and formats one deterministic response line. Analysis-backed query
-// kinds go through the per-epoch DerivedCache by default: first touch of
-// a function materializes its dominator/postdominator/frontier/cdep-CSR/
-// LCA bundle once, and every later query is a lookup. With the cache
-// disabled (ServeOptions::DerivedCache = false) each query derives what
-// it needs from the frozen views on the spot; both paths format
-// byte-identical responses, which tests and time_serve gate on.
+// and formats one deterministic response line. `region` and `regions`
+// read the frozen PST directly: PSTs are shallow, so the parent walk is
+// already effectively constant time. `dom`, `cdep` and `phi` go through
+// the per-epoch DerivedCache by default: first touch of a function
+// materializes its dominator/postdominator/frontier/cdep-CSR bundle once,
+// and every later query is a lookup. With the cache disabled
+// (ServeOptions::DerivedCache = false) each query derives what it needs
+// from the frozen views on the spot; both paths format byte-identical
+// responses, which tests and time_serve gate on.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,12 +60,9 @@ RegionId regionLca(const ProgramStructureTree &T, RegionId A, RegionId B) {
   return A;
 }
 
-void runRegion(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
-               const DerivedBundle *B) {
+void runRegion(const ResolvedFunction &F, const Request &R, QueryScratch &Sc) {
   const ProgramStructureTree &T = F.Pst;
-  RegionId RA = T.regionOfNode(R.A), RB = T.regionOfNode(R.B);
-  // The O(1) Euler-tour index answers exactly what the walk answers.
-  RegionId L = B ? B->Lca.lca(RA, RB) : regionLca(T, RA, RB);
+  RegionId L = regionLca(T, T.regionOfNode(R.A), T.regionOfNode(R.B));
   const SeseRegion &Reg = T.region(L);
   Sc.Out += "ok region fn=" + std::to_string(R.Fn) +
             " a=" + std::to_string(R.A) + " b=" + std::to_string(R.B) +
@@ -80,24 +79,15 @@ void runRegion(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
     Sc.Out += std::to_string(Reg.ExitEdge);
 }
 
-void runRegions(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
-                const DerivedBundle *B) {
+void runRegions(const ResolvedFunction &F, const Request &R,
+                QueryScratch &Sc) {
   const ProgramStructureTree &T = F.Pst;
-  // Max depth (and the counts) are properties of the snapshot, not the
-  // query; the bundle memoizes them instead of rescanning the region
-  // table per request.
   uint32_t MaxDepth = 0;
-  if (B) {
-    MaxDepth = B->MaxDepth;
-  } else {
-    for (RegionId I = 0; I < T.numRegions(); ++I)
-      MaxDepth = std::max(MaxDepth, T.region(I).Depth);
-  }
-  uint32_t Count = B ? B->NumRegions : T.numRegions();
-  uint32_t Canonical = B ? B->NumCanonicalRegions : T.numCanonicalRegions();
+  for (const SeseRegion &Reg : T.regionTable())
+    MaxDepth = std::max(MaxDepth, Reg.Depth);
   Sc.Out += "ok regions fn=" + std::to_string(R.Fn) +
-            " count=" + std::to_string(Count) +
-            " canonical=" + std::to_string(Canonical) +
+            " count=" + std::to_string(T.numRegions()) +
+            " canonical=" + std::to_string(T.numCanonicalRegions()) +
             " maxdepth=" + std::to_string(MaxDepth);
 }
 
@@ -225,10 +215,10 @@ std::string runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
   // have grown it past the base image's node count).
   auto NodeOk = [&](NodeId N) { return N < F.View.numNodes(); };
 
-  // Analysis-backed kinds share the function's derived bundle: overlay
-  // functions carry their slot in the snapshot (so it retires with the
-  // epoch), base-image functions use the server-lifetime cache. Name
-  // lookups and error paths never touch (or build) a bundle.
+  // dom/cdep/phi share the function's derived bundle: overlay functions
+  // carry their slot in the snapshot (so it retires with the epoch),
+  // base-image functions use the server-lifetime cache. region, regions,
+  // name and error paths never touch (or build) a bundle.
   auto Bundle = [&]() -> const DerivedBundle * {
     if (!S.derivedCache())
       return nullptr;
@@ -243,10 +233,10 @@ std::string runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
       Sc.Out = "err node out of range";
       return Sc.Out;
     }
-    runRegion(F, R, Sc, Bundle());
+    runRegion(F, R, Sc);
     break;
   case RequestKind::Regions:
-    runRegions(F, R, Sc, Bundle());
+    runRegions(F, R, Sc);
     break;
   case RequestKind::Cdep:
     if (!NodeOk(R.A)) {

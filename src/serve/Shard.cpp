@@ -59,52 +59,46 @@ ResolvedFunction Shard::resolve(const ShardEpoch &E, uint64_t Fn) const {
   return Out;
 }
 
+namespace {
+
+bool inRange(const DynamicCfg &G, NodeId Src, NodeId Dst) {
+  return Src < G.numNodes() && Dst < G.numNodes();
+}
+
+/// True if \p G can take \p Nodes more nodes and \p Edges more edges
+/// without passing MaxFunctionSize.
+bool fits(const DynamicCfg &G, uint32_t Nodes, uint32_t Edges) {
+  return G.numNodes() + Nodes <= MaxFunctionSize &&
+         G.graph().numEdges() + Edges <= MaxFunctionSize;
+}
+
+} // namespace
+
 Shard::FunctionWriter &Shard::writer(uint64_t Fn) {
   assert(owns(Fn) && Fn < Base.numFunctions());
   auto It = Writers.find(Fn);
   if (It != Writers.end())
     return It->second;
   // First edit on this function: materialize the base image's graph
-  // (node/edge ids carry over exactly) and run the initial full build.
-  FunctionWriter W;
-  W.Name = std::string(Base.functionName(Fn));
-  W.Graph = std::make_unique<DynamicCfg>(Base.materializeCfg(Fn));
-  W.Inc = std::make_unique<IncrementalPst>(*W.Graph);
-  return Writers.emplace(Fn, std::move(W)).first->second;
+  // (node/edge ids carry over exactly).
+  return Writers
+      .emplace(Fn, FunctionWriter{DynamicCfg(Base.materializeCfg(Fn)),
+                                  std::string(Base.functionName(Fn))})
+      .first->second;
 }
 
-EdgeId Shard::findLiveEdge(const FunctionWriter &W, NodeId Src,
-                           NodeId Dst) const {
-  const Cfg &G = W.Graph->graph();
-  if (Src >= G.numNodes() || Dst >= G.numNodes())
+EdgeId Shard::findLiveEdge(const FunctionWriter &W, NodeId Src, NodeId Dst) {
+  const Cfg &G = W.Graph.graph();
+  if (!inRange(W.Graph, Src, Dst))
     return InvalidEdge;
   for (EdgeId E : G.node(Src).Succs)
-    if (W.Graph->edgeLive(E) && G.target(E) == Dst)
+    if (W.Graph.edgeLive(E) && G.target(E) == Dst)
       return E;
   return InvalidEdge;
 }
 
-EdgeId Shard::insertEdge(uint64_t Fn, NodeId Src, NodeId Dst) {
-  FunctionWriter &W = writer(Fn);
-  if (Src >= W.Graph->numNodes() || Dst >= W.Graph->numNodes()) {
-    ++EditsRejected;
-    return InvalidEdge;
-  }
-  EdgeId E = W.Inc->insertEdge(Src, Dst);
-  if (E == InvalidEdge) {
-    ++EditsRejected;
-    return InvalidEdge;
-  }
-  W.Dirty = true;
-  ++Edits;
-  PST_COUNTER("serve.edits", 1);
-  return E;
-}
-
-bool Shard::deleteEdge(uint64_t Fn, NodeId Src, NodeId Dst) {
-  FunctionWriter &W = writer(Fn);
-  EdgeId E = findLiveEdge(W, Src, Dst);
-  if (E == InvalidEdge || !W.Inc->deleteEdge(E)) {
+bool Shard::record(FunctionWriter &W, bool Accepted) {
+  if (!Accepted) {
     ++EditsRejected;
     return false;
   }
@@ -114,38 +108,37 @@ bool Shard::deleteEdge(uint64_t Fn, NodeId Src, NodeId Dst) {
   return true;
 }
 
+EdgeId Shard::insertEdge(uint64_t Fn, NodeId Src, NodeId Dst) {
+  FunctionWriter &W = writer(Fn);
+  EdgeId E = InvalidEdge;
+  if (inRange(W.Graph, Src, Dst) && fits(W.Graph, 0, 1))
+    E = W.Graph.insertEdge(Src, Dst);
+  record(W, E != InvalidEdge);
+  return E;
+}
+
+bool Shard::deleteEdge(uint64_t Fn, NodeId Src, NodeId Dst) {
+  FunctionWriter &W = writer(Fn);
+  EdgeId E = findLiveEdge(W, Src, Dst);
+  return record(W, E != InvalidEdge && W.Graph.deleteEdge(E));
+}
+
 NodeId Shard::splitBlock(uint64_t Fn, NodeId Src, NodeId Dst) {
   FunctionWriter &W = writer(Fn);
   EdgeId E = findLiveEdge(W, Src, Dst);
-  if (E == InvalidEdge) {
-    ++EditsRejected;
-    return InvalidNode;
-  }
-  NodeId N = W.Inc->splitBlock(E);
-  if (N == InvalidNode) {
-    ++EditsRejected;
-    return InvalidNode;
-  }
-  W.Dirty = true;
-  ++Edits;
-  PST_COUNTER("serve.edits", 1);
+  NodeId N = InvalidNode;
+  if (E != InvalidEdge && fits(W.Graph, 1, 2))
+    N = W.Graph.splitBlock(E);
+  record(W, N != InvalidNode);
   return N;
 }
 
 NodeId Shard::addBlock(uint64_t Fn, NodeId Src, NodeId Dst) {
   FunctionWriter &W = writer(Fn);
-  if (Src >= W.Graph->numNodes() || Dst >= W.Graph->numNodes()) {
-    ++EditsRejected;
-    return InvalidNode;
-  }
-  NodeId N = W.Inc->addBlock(Src, Dst);
-  if (N == InvalidNode) {
-    ++EditsRejected;
-    return InvalidNode;
-  }
-  W.Dirty = true;
-  ++Edits;
-  PST_COUNTER("serve.edits", 1);
+  NodeId N = InvalidNode;
+  if (inRange(W.Graph, Src, Dst) && fits(W.Graph, 1, 2))
+    N = W.Graph.addBlock(Src, Dst);
+  record(W, N != InvalidNode);
   return N;
 }
 
@@ -164,12 +157,7 @@ uint64_t Shard::commit() {
   for (auto &[Fn, W] : Writers) {
     if (!W.Dirty)
       continue;
-    // Fold the journal into the incremental tree (dirty-region rebuild;
-    // this is where edit-time validation and reprocess stats live), then
-    // refreeze the function from its materialized graph so the published
-    // snapshot is bit-equal to a from-scratch freeze (see Shard.h).
-    W.Inc->commit();
-    auto Snap = FunctionSnapshot::freeze(W.Graph->materialize(), W.Name);
+    auto Snap = FunctionSnapshot::freeze(W.Graph.materialize(), W.Name);
     assert(Snap && "refreeze of a validated graph cannot fail");
     auto It = std::lower_bound(
         WorkingOverlay.begin(), WorkingOverlay.end(), Fn,
@@ -220,18 +208,10 @@ bool Shard::verifyPublished(std::string *Why) const {
       return false;
     }
     std::string Inner;
-    if (!snapshotMatchesFromScratch(*Snap, It->second.Graph->materialize(),
+    if (!snapshotMatchesFromScratch(*Snap, It->second.Graph.materialize(),
                                     &Inner)) {
       if (Why)
         *Why = "function " + std::to_string(Fn) + ": " + Inner;
-      return false;
-    }
-    // Belt and braces: the incremental tree must also agree structurally
-    // with a from-scratch build of its own graph.
-    if (!It->second.Inc->equalsFromScratch(&Inner)) {
-      if (Why)
-        *Why = "function " + std::to_string(Fn) +
-               ": incremental tree diverged: " + Inner;
       return false;
     }
   }
@@ -242,12 +222,7 @@ Cfg Shard::writerGraph(uint64_t Fn) const {
   auto It = Writers.find(Fn);
   if (It == Writers.end())
     return Base.materializeCfg(Fn);
-  return It->second.Graph->materialize();
-}
-
-const IncrementalPstStats *Shard::writerStats(uint64_t Fn) const {
-  auto It = Writers.find(Fn);
-  return It == Writers.end() ? nullptr : &It->second.Inc->stats();
+  return It->second.Graph.materialize();
 }
 
 ShardStats Shard::stats() const {

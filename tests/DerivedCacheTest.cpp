@@ -1,20 +1,21 @@
-//===- DerivedCacheTest.cpp - derived-analysis cache, LCA index, cdep CSR ----===//
+//===- DerivedCacheTest.cpp - derived-analysis cache, cdep CSR, region LCA ---===//
 //
 // Part of the PST library (see pst/serve/DerivedCache.h for the reference).
 //
-// Three layers, bottom-up:
+// Three layers:
 //
-//  - PstLcaTest: the Euler-tour + sparse-table region-LCA index against a
-//    parent-chain-walk oracle, on structured shapes and a seed sweep of
-//    random CFGs (plus the memoized maxDepth against a region-table scan).
 //  - CdepCsrTest: the precomputed control-dependence CSR against the
 //    brute-force Ferrante/Ottenstein/Warren scan the uncached query path
 //    runs — same sets, same ascending-edge-id order.
 //  - DerivedCacheTest: slot/counter semantics (exactly-once builds, warm
-//    hits), the cached-vs-uncached response-identity contract across
-//    randomized edit/commit rounds (which also proves refreeze drops stale
-//    bundles), and the TSan-facing suites where readers race first-touch
-//    bundle builds against each other and against committing writers.
+//    hits, region/regions/name never touching a bundle), the
+//    cached-vs-uncached response-identity contract across randomized
+//    edit/commit rounds (which also proves refreeze drops stale bundles),
+//    and the TSan-facing suites where readers race first-touch bundle
+//    builds against each other and against committing writers.
+//  - PstLcaTest: the `region` query's parent-chain walk to the least
+//    common ancestor, against the deepest region whose node set holds
+//    both nodes, on structured shapes and a seed sweep of random CFGs.
 //
 // The concurrency tests run in CI's thread-sanitizer job; keep new
 // shared-state tests in the *Concurrent* naming pattern so the ctest
@@ -26,7 +27,6 @@
 #include "pst/serve/PstServer.h"
 #include "pst/serve/Snapshot.h"
 
-#include "pst/core/PstLca.h"
 #include "pst/dom/ControlDependenceCsr.h"
 #include "pst/dom/Dominators.h"
 #include "pst/graph/CfgAlgorithms.h"
@@ -35,8 +35,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,85 +47,6 @@ using namespace pst;
 using namespace pst::serve;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// PstLca: O(1) LCA vs the parent-chain walk
-//===----------------------------------------------------------------------===//
-
-/// The oracle the index must match exactly: lift the deeper region to the
-/// shallower one's depth, then walk both chains up in lockstep.
-RegionId lcaByWalk(const ProgramStructureTree &T, RegionId A, RegionId B) {
-  while (T.region(A).Depth > T.region(B).Depth)
-    A = T.region(A).Parent;
-  while (T.region(B).Depth > T.region(A).Depth)
-    B = T.region(B).Parent;
-  while (A != B) {
-    A = T.region(A).Parent;
-    B = T.region(B).Parent;
-  }
-  return A;
-}
-
-uint32_t maxDepthByScan(const ProgramStructureTree &T) {
-  uint32_t Max = 0;
-  for (RegionId R = 0; R < T.numRegions(); ++R)
-    Max = std::max(Max, T.region(R).Depth);
-  return Max;
-}
-
-void expectLcaMatchesWalk(const Cfg &G, const char *What) {
-  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
-  PstLca L(T);
-  ASSERT_FALSE(L.empty()) << What;
-  EXPECT_EQ(L.maxDepth(), maxDepthByScan(T)) << What;
-  EXPECT_GT(L.bytes(), 0u) << What;
-  for (RegionId A = 0; A < T.numRegions(); ++A)
-    for (RegionId B = 0; B < T.numRegions(); ++B)
-      ASSERT_EQ(L.lca(A, B), lcaByWalk(T, A, B))
-          << What << " regions " << A << "," << B;
-}
-
-TEST(PstLcaTest, DefaultConstructedIsEmpty) {
-  PstLca L;
-  EXPECT_TRUE(L.empty());
-  EXPECT_EQ(L.maxDepth(), 0u);
-}
-
-TEST(PstLcaTest, StructuredShapesMatchWalk) {
-  expectLcaMatchesWalk(chainCfg(5), "chain");
-  expectLcaMatchesWalk(diamondLadderCfg(4), "diamond ladder");
-  expectLcaMatchesWalk(nestedWhileCfg(3), "nested while");
-  expectLcaMatchesWalk(nestedRepeatUntilCfg(3), "nested repeat-until");
-  expectLcaMatchesWalk(irreducibleCfg(2), "irreducible");
-  expectLcaMatchesWalk(paperFigure1Cfg(), "paper figure 1");
-}
-
-TEST(PstLcaTest, LcaIsReflexiveSymmetricAndRootAbsorbing) {
-  ProgramStructureTree T =
-      ProgramStructureTree::build(FrozenCfg(nestedWhileCfg(3)));
-  PstLca L(T);
-  for (RegionId A = 0; A < T.numRegions(); ++A) {
-    EXPECT_EQ(L.lca(A, A), A);
-    EXPECT_EQ(L.lca(A, 0), 0u); // Region 0 is the synthetic root.
-    for (RegionId B = 0; B < T.numRegions(); ++B)
-      EXPECT_EQ(L.lca(A, B), L.lca(B, A));
-  }
-}
-
-class PstLcaRandomTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PstLcaRandomTest, MatchesWalkOnRandomCfgs) {
-  Rng R(GetParam() * 6364136223846793005ull + 1442695040888963407ull);
-  RandomCfgOptions Opts;
-  Opts.NumNodes = 3 + static_cast<uint32_t>(R.nextBelow(40));
-  Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(30));
-  Cfg G = randomBackboneCfg(R, Opts);
-  ASSERT_TRUE(validateCfg(G));
-  expectLcaMatchesWalk(G, "random");
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PstLcaRandomTest,
-                         ::testing::Range<uint64_t>(0, 40));
 
 //===----------------------------------------------------------------------===//
 // ControlDependenceCsr: precomputed relation vs the FOW scan
@@ -266,6 +189,14 @@ std::vector<Request> queryBattery(const PstServer &S, uint64_t Fn) {
   return Batch;
 }
 
+/// Requests in \p Batch that read a derived bundle (dom, cdep, phi).
+uint64_t bundleQueries(const std::vector<Request> &Batch) {
+  return std::count_if(Batch.begin(), Batch.end(), [](const Request &R) {
+    return R.Kind == RequestKind::Dom || R.Kind == RequestKind::Cdep ||
+           R.Kind == RequestKind::Phi;
+  });
+}
+
 TEST(DerivedCacheTest, DisabledCacheServesIdenticalAnswersWithNoSlots) {
   ServeOptions On, Off;
   Off.DerivedCache = false;
@@ -306,16 +237,28 @@ TEST(DerivedCacheTest, WarmPassIsAllHitsAndBuildsNothing) {
   EXPECT_EQ(Warm, Cold);
   EXPECT_EQ(AfterWarm.Builds, AfterCold.Builds); // Nothing rebuilt.
   EXPECT_EQ(AfterWarm.BytesBuilt, AfterCold.BytesBuilt);
-  EXPECT_EQ(AfterWarm.Hits, AfterCold.Hits + Batch.size());
+  EXPECT_EQ(AfterWarm.Hits, AfterCold.Hits + bundleQueries(Batch));
 }
 
 TEST(DerivedCacheTest, NameAndErrorQueriesNeverMaterializeABundle) {
   PstServer S(makeTestImage());
-  S.execute(makeRequest(RequestKind::Name, 0));
-  S.execute(makeRequest(RequestKind::Dom, 0, 999));   // err: node range.
-  S.execute(makeRequest(RequestKind::Name, 999));     // err: fn range.
+  for (uint64_t Fn = 0; Fn < S.numFunctions(); ++Fn) {
+    S.execute(makeRequest(RequestKind::Name, Fn));
+    S.execute(makeRequest(RequestKind::Regions, Fn));
+    uint32_t Nodes = S.image().cfg(Fn).numNodes();
+    for (NodeId N = 0; N < Nodes; ++N)
+      ASSERT_EQ(S.execute(makeRequest(RequestKind::Region, Fn, N, Nodes - 1))
+                    .rfind("ok region", 0),
+                0u);
+  }
+  S.execute(makeRequest(RequestKind::Dom, 0, 999));       // err: node range.
+  S.execute(makeRequest(RequestKind::Region, 0, 0, 999)); // err: node range.
+  S.execute(makeRequest(RequestKind::Name, 999));         // err: fn range.
+  S.execute(makeRequest(RequestKind::Regions, 999));      // err: fn range.
   DerivedCacheStats St = S.derivedCacheStats();
   EXPECT_EQ(St.Builds, 0u);
+  EXPECT_EQ(St.Hits, 0u);
+  EXPECT_EQ(St.Waits, 0u);
   EXPECT_EQ(S.derivedCache()->bytesReady(), 0u);
 }
 
@@ -424,13 +367,12 @@ TEST(DerivedCacheTest, ConcurrentFirstTouchBuildsAreExactlyOnce) {
     T.join();
 
   // Exactly one build per function, no matter how the race went. Every
-  // query resolves as a build or (possibly after a wait episode) a hit,
-  // so hits + builds is exactly the query count; waits are extra
-  // episodes, not outcomes.
+  // dom/cdep/phi query resolves as a build or (possibly after a wait
+  // episode) a hit, so hits + builds is exactly their count; waits are
+  // extra episodes, not outcomes.
   DerivedCacheStats St = S.derivedCacheStats();
   EXPECT_EQ(St.Builds, S.numFunctions());
-  EXPECT_EQ(St.Hits + St.Builds,
-            static_cast<uint64_t>(Battery.size()) * NumReaders);
+  EXPECT_EQ(St.Hits + St.Builds, bundleQueries(Battery) * NumReaders);
 
   for (int R = 1; R < NumReaders; ++R)
     ASSERT_EQ(Got[R], Got[0]) << "reader " << R;
@@ -504,5 +446,111 @@ TEST(DerivedCacheTest, ConcurrentReadersDuringCommits) {
   // answers never flickered (asserted in-loop above).
   EXPECT_GE(S.derivedCacheStats().Builds, S.numFunctions());
 }
+
+//===----------------------------------------------------------------------===//
+// Region queries: the server's parent walk vs a containment oracle
+//===----------------------------------------------------------------------===//
+
+/// A one-function server over \p G.
+std::unique_ptr<PstServer> serverFor(const Cfg &G) {
+  const Cfg *Fns[1] = {&G};
+  std::string Names[1] = {"f"};
+  std::string Error;
+  CorpusImage Img = CorpusImage::fromBytes(buildCorpusImage(Fns, Names),
+                                           &Error);
+  EXPECT_TRUE(Img.valid()) << Error;
+  return std::make_unique<PstServer>(std::move(Img));
+}
+
+std::string edgeField(EdgeId E) {
+  return E == InvalidEdge ? "-" : std::to_string(E);
+}
+
+/// The `region` response the walk must produce: the deepest region whose
+/// node set (its own nodes and every nested region's) holds both nodes,
+/// found by membership rather than by parent chains.
+std::vector<std::string> expectedRegionResponses(const ProgramStructureTree &T,
+                                                 uint32_t NumNodes) {
+  std::vector<std::vector<bool>> In(T.numRegions(),
+                                    std::vector<bool>(NumNodes, false));
+  for (RegionId R = 0; R < T.numRegions(); ++R)
+    for (NodeId N : T.allNodes(R))
+      In[R][N] = true;
+  std::vector<std::string> Out;
+  for (NodeId A = 0; A < NumNodes; ++A)
+    for (NodeId B = 0; B < NumNodes; ++B) {
+      RegionId Best = T.root();
+      for (RegionId R = 0; R < T.numRegions(); ++R)
+        if (In[R][A] && In[R][B] && T.region(R).Depth > T.region(Best).Depth)
+          Best = R;
+      const SeseRegion &Reg = T.region(Best);
+      Out.push_back("ok region fn=0 a=" + std::to_string(A) +
+                    " b=" + std::to_string(B) +
+                    " region=" + std::to_string(Best) +
+                    " depth=" + std::to_string(Reg.Depth) +
+                    " entry=" + edgeField(Reg.EntryEdge) +
+                    " exit=" + edgeField(Reg.ExitEdge));
+    }
+  return Out;
+}
+
+void expectRegionQueriesMatchContainment(const Cfg &G, const char *What) {
+  std::unique_ptr<PstServer> S = serverFor(G);
+  std::vector<std::string> Expect =
+      expectedRegionResponses(S->image().pst(0), G.numNodes());
+  size_t I = 0;
+  for (NodeId A = 0; A < G.numNodes(); ++A)
+    for (NodeId B = 0; B < G.numNodes(); ++B, ++I)
+      ASSERT_EQ(S->execute(makeRequest(RequestKind::Region, 0, A, B)),
+                Expect[I])
+          << What;
+}
+
+/// The region= field of a `region` response.
+std::string regionField(const std::string &Resp) {
+  size_t At = Resp.find(" region=") + 8;
+  return Resp.substr(At, Resp.find(' ', At) - At);
+}
+
+TEST(PstLcaTest, StructuredShapesMatchWalk) {
+  expectRegionQueriesMatchContainment(chainCfg(5), "chain");
+  expectRegionQueriesMatchContainment(diamondLadderCfg(4), "diamond ladder");
+  expectRegionQueriesMatchContainment(nestedWhileCfg(3), "nested while");
+  expectRegionQueriesMatchContainment(nestedRepeatUntilCfg(3),
+                                      "nested repeat-until");
+  expectRegionQueriesMatchContainment(irreducibleCfg(2), "irreducible");
+  expectRegionQueriesMatchContainment(paperFigure1Cfg(), "paper figure 1");
+}
+
+TEST(PstLcaTest, LcaIsReflexiveSymmetricAndRootAbsorbing) {
+  Cfg G = nestedWhileCfg(3);
+  std::unique_ptr<PstServer> S = serverFor(G);
+  ProgramStructureTree T = S->image().pst(0);
+  auto Region = [&](NodeId A, NodeId B) {
+    return regionField(S->execute(makeRequest(RequestKind::Region, 0, A, B)));
+  };
+  for (NodeId A = 0; A < G.numNodes(); ++A) {
+    EXPECT_EQ(Region(A, A), std::to_string(T.regionOfNode(A)));
+    // The entry node sits in the synthetic root, region 0.
+    EXPECT_EQ(Region(A, G.entry()), "0");
+    for (NodeId B = 0; B < G.numNodes(); ++B)
+      EXPECT_EQ(Region(A, B), Region(B, A));
+  }
+}
+
+class PstLcaRandomTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PstLcaRandomTest, MatchesWalkOnRandomCfgs) {
+  Rng R(GetParam() * 6364136223846793005ull + 1442695040888963407ull);
+  RandomCfgOptions Opts;
+  Opts.NumNodes = 3 + static_cast<uint32_t>(R.nextBelow(40));
+  Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(30));
+  Cfg G = randomBackboneCfg(R, Opts);
+  ASSERT_TRUE(validateCfg(G));
+  expectRegionQueriesMatchContainment(G, "random");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PstLcaRandomTest,
+                         ::testing::Range<uint64_t>(0, 40));
 
 } // namespace

@@ -241,6 +241,61 @@ TEST(IncrementalPst, LocalDeleteRejectedWhenItDisconnects) {
   expectMatchesFromScratch(IP, 0, 1);
 }
 
+// IncrementalPst::deleteEdge checks validity only inside the dirty
+// region; DynamicCfg::deleteEdge sweeps the whole graph. The two must
+// give every delete the same verdict, mid-batch as well as right after a
+// commit: twins take one seeded stream of inserts, splits, added blocks
+// and deletes, with the incremental twin committing every 1-6 edits.
+TEST(IncrementalPst, LocalDeleteVerdictMatchesWholeGraphCheck) {
+  uint32_t Accepted = 0, Rejected = 0;
+  for (uint64_t Seed = 0; Seed < 60; ++Seed) {
+    Rng R(Seed * 977 + 5);
+    Cfg G;
+    if (Seed % 2) {
+      RandomCfgOptions Opts;
+      Opts.NumNodes = 4 + static_cast<uint32_t>(R.nextBelow(20));
+      Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(10));
+      G = randomBackboneCfg(R, Opts);
+    } else {
+      G = nestedWhileCfg(1 + static_cast<uint32_t>(Seed % 4),
+                         1 + static_cast<uint32_t>(Seed % 3));
+    }
+    DynamicCfg Twin(G), Bare(std::move(G));
+    IncrementalPst IP(Twin);
+    int SinceCommit = 0, NextCommit = 1 + static_cast<int>(R.nextBelow(6));
+    for (int Step = 0; Step < 40; ++Step) {
+      uint64_t Kind = R.nextBelow(100);
+      NodeId Src = static_cast<NodeId>(R.nextBelow(Bare.numNodes()));
+      NodeId Dst = static_cast<NodeId>(R.nextBelow(Bare.numNodes()));
+      EdgeId E = static_cast<EdgeId>(R.nextBelow(Bare.graph().numEdges()));
+      if (Kind < 20) {
+        ASSERT_EQ(IP.insertEdge(Src, Dst), Bare.insertEdge(Src, Dst));
+      } else if (Kind < 30) {
+        ASSERT_EQ(IP.addBlock(Src, Dst), Bare.addBlock(Src, Dst));
+      } else if (!Bare.edgeLive(E)) {
+        continue;
+      } else if (Kind < 45) {
+        ASSERT_EQ(IP.splitBlock(E), Bare.splitBlock(E));
+      } else {
+        bool Local = IP.deleteEdge(E);
+        ASSERT_EQ(Local, Bare.deleteEdge(E))
+            << "seed " << Seed << " step " << Step << " edge " << E;
+        ++(Local ? Accepted : Rejected);
+      }
+      if (++SinceCommit >= NextCommit) {
+        IP.commit();
+        SinceCommit = 0;
+        NextCommit = 1 + static_cast<int>(R.nextBelow(6));
+      }
+    }
+    IP.commit();
+    expectMatchesFromScratch(IP, Seed, 40);
+  }
+  // Both verdicts really occurred.
+  EXPECT_GT(Accepted, 50u);
+  EXPECT_GT(Rejected, 50u);
+}
+
 TEST(IncrementalPst, DirectDynamicCfgEditsAbsorbedAtCommit) {
   DynamicCfg DG(diamondLadderCfg(4));
   IncrementalPst IP(DG);

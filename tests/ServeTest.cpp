@@ -313,6 +313,65 @@ TEST(ShardTest, RejectsInvalidEdits) {
   EXPECT_EQ(S0.stats().EditsRejected, 3u);
 }
 
+/// A one-function image named "fn0".
+CorpusImage oneFunctionImage(const Cfg &G) {
+  const Cfg *Fns[1] = {&G};
+  std::string Names[1] = {"fn0"};
+  std::string Error;
+  CorpusImage Img = CorpusImage::fromBytes(buildCorpusImage(Fns, Names),
+                                           &Error);
+  EXPECT_TRUE(Img.valid()) << Error;
+  return Img;
+}
+
+/// entry -> exit over \p Edges parallel edges: few nodes, many edges.
+Cfg parallelEdgeCfg(uint32_t Edges) {
+  Cfg G;
+  NodeId Entry = G.addNode("entry"), Exit = G.addNode("exit");
+  for (uint32_t I = 0; I < Edges; ++I)
+    G.addEdge(Entry, Exit);
+  G.setEntry(Entry);
+  G.setExit(Exit);
+  return G;
+}
+
+TEST(ShardTest, RejectsGrowthPastMaxFunctionSize) {
+  // Node cap: a chain one node below it takes exactly one added block.
+  Cfg Chain;
+  for (uint32_t I = 0; I + 1 < MaxFunctionSize; ++I) {
+    Chain.addNode();
+    if (I)
+      Chain.addEdge(I - 1, I);
+  }
+  Chain.setEntry(0);
+  Chain.setExit(MaxFunctionSize - 2);
+  CorpusImage Long = oneFunctionImage(Chain);
+  Shard S0(Long, 0, 1);
+  EXPECT_EQ(S0.addBlock(0, 0, 1), MaxFunctionSize - 1);
+  EXPECT_EQ(S0.addBlock(0, 1, 2), InvalidNode);
+  EXPECT_EQ(S0.splitBlock(0, 1, 2), InvalidNode);
+  // Deletes never grow a function, so they still go through.
+  EXPECT_TRUE(S0.deleteEdge(0, 0, 1));
+  EXPECT_EQ(S0.stats().Edits, 2u);
+  EXPECT_EQ(S0.stats().EditsRejected, 2u);
+  S0.commit();
+  std::string Why;
+  EXPECT_TRUE(S0.verifyPublished(&Why)) << Why;
+  EXPECT_EQ(S0.writerGraph(0).numNodes(), MaxFunctionSize);
+
+  // Edge cap, tombstones included: one insert fits, and deleting an edge
+  // does not make room for another.
+  CorpusImage Wide = oneFunctionImage(parallelEdgeCfg(MaxFunctionSize - 1));
+  Shard S1(Wide, 0, 1);
+  EXPECT_EQ(S1.insertEdge(0, 0, 1), MaxFunctionSize - 1);
+  EXPECT_TRUE(S1.deleteEdge(0, 0, 1));
+  EXPECT_EQ(S1.insertEdge(0, 0, 1), InvalidEdge);
+  EXPECT_EQ(S1.addBlock(0, 0, 1), InvalidNode);
+  EXPECT_EQ(S1.splitBlock(0, 0, 1), InvalidNode);
+  EXPECT_EQ(S1.stats().Edits, 2u);
+  EXPECT_EQ(S1.stats().EditsRejected, 3u);
+}
+
 /// The acceptance invariant, exercised hard: a deterministic pseudo-random
 /// edit stream across the shard's functions with periodic commits, and
 /// after every commit each published overlay snapshot must be
@@ -665,6 +724,28 @@ TEST(ProtocolTest, SessionSurfacesErrorsWithoutDying) {
   EXPECT_EQ(L1.rfind("err", 0), 0u) << L1;
   EXPECT_EQ(L2.rfind("err", 0), 0u) << L2;
   EXPECT_EQ(L3, "ok name fn=1 fn1");
+}
+
+TEST(ProtocolTest, EditsPastMaxFunctionSizeAreRejected) {
+  // Two edges below the cap: one addblock (+1 node, +2 edges) fits.
+  PstServer Server(oneFunctionImage(parallelEdgeCfg(MaxFunctionSize - 2)));
+  EXPECT_EQ(runScript(Server,
+                      "edit 0 addblock 0 1\n"
+                      "edit 0 addblock 0 1\n"
+                      "edit 0 insert 0 1\n"
+                      "edit 0 split 0 1\n"
+                      "commit\n"
+                      "verify\n"
+                      "stats\n",
+                      256),
+            "ok edit fn=0 addblock 0->1 node=2\n"
+            "err edit fn=0 addblock 0->1 rejected\n"
+            "err edit fn=0 insert 0->1 rejected\n"
+            "err edit fn=0 split 0->1 rejected\n"
+            "ok commit versions=[1,0,0,0]\n"
+            "ok verify shards=4 identical\n"
+            "ok stats edits=1 rejected=3 commits=1 refrozen=1 published=5 "
+            "reclaimed=1\n");
 }
 
 TEST(ProtocolTest, OverlongLineGetsOneErrorAndSessionContinues) {
