@@ -8,7 +8,9 @@
 // numbering, the same idom arrays, the same fixpoints — not merely
 // equivalent results, so any refactor of a kernel that changes a visit
 // order shows up here as a named stage, even when every oracle test still
-// passes.
+// passes. One line is deliberately id-blind: `pst.structure` pins the PST
+// by its edge pairs, so a change that only renumbers regions moves
+// `pst.format` and leaves `pst.structure` as it was.
 //
 // Corpora: the seeded 254-procedure paper corpus, and a seeded set of
 // goto-heavy generated procedures (irreducible flow, dissolved regions).
@@ -39,6 +41,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -131,6 +134,46 @@ std::vector<Procedure> gotoHeavyProcedures() {
   return Out;
 }
 
+/// Folds \p T into \p Dg without reading a single region id: each region
+/// is named by its (entry edge, exit edge) pair (the root by the invalid
+/// pair), and regions are visited in pair order. Per region: its parent's
+/// pair, its depth, its children's pairs in child order and its immediate
+/// nodes; per edge, the pair of its innermost region. Two trees that differ
+/// only in how their regions are numbered digest identically.
+void addTreeStructure(Digest &Dg, const ProgramStructureTree &T) {
+  auto Pair = [&](RegionId R) {
+    return std::pair(T.region(R).EntryEdge, T.region(R).ExitEdge);
+  };
+  auto AddPair = [&](RegionId R) {
+    Dg.add(Pair(R).first);
+    Dg.add(Pair(R).second);
+  };
+  std::vector<RegionId> ByPair(T.numRegions());
+  for (RegionId R = 0; R < T.numRegions(); ++R)
+    ByPair[R] = R;
+  std::sort(ByPair.begin(), ByPair.end(),
+            [&](RegionId A, RegionId B) { return Pair(A) < Pair(B); });
+  Dg.add(T.numRegions());
+  for (RegionId R : ByPair) {
+    AddPair(R);
+    const SeseRegion &Reg = T.region(R);
+    if (Reg.Parent == InvalidRegion) {
+      Dg.add(InvalidEdge);
+      Dg.add(InvalidEdge);
+    } else {
+      AddPair(Reg.Parent);
+    }
+    Dg.add(Reg.Depth);
+    Dg.add(T.children(R).size());
+    for (RegionId C : T.children(R))
+      AddPair(C);
+    std::span<const NodeId> Imm = T.immediateNodes(R);
+    Dg.add(std::vector<uint32_t>(Imm.begin(), Imm.end()));
+  }
+  for (EdgeId E = 0; E < T.edgeRegionTable().size(); ++E)
+    AddPair(T.regionOfEdge(E));
+}
+
 /// Runs every stage over \p Procs and returns one digest per stage name.
 std::map<std::string, uint64_t>
 digestStages(const std::vector<Procedure> &Procs) {
@@ -156,6 +199,7 @@ digestStages(const std::vector<Procedure> &Procs) {
     // and the divide-and-conquer dominator tree built from it.
     ProgramStructureTree T = ProgramStructureTree::build(V, PB);
     D["pst.format"].add(formatPst(G, T));
+    addTreeStructure(D["pst.structure"], T);
     DomTree PstDom = buildDominatorsViaPst(V, T);
 
     // Control regions: the linear implicit-T(S) algorithm, the explicit-
