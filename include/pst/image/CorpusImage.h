@@ -435,8 +435,7 @@ public:
   CfgView cfg(uint64_t I) const;
 
   /// Zero-copy frozen PST of function \p I (\c adoptExternal over the
-  /// mapped arrays); valid while the image lives. Its cycleEquiv() is
-  /// empty — the classes are construction input, not serialized state.
+  /// mapped arrays); valid while the image lives.
   ProgramStructureTree pst(uint64_t I) const;
 
   /// Drops the resident pages of an mmap-backed image (madvise

@@ -43,13 +43,11 @@ struct PstScratch {
   /// \c CfgView here and every pipeline stage reads it; no stage rebuilds
   /// its own adjacency.
   CfgViewScratch View;
-  /// PST construction (embeds the cycle-equivalence solver scratch).
+  /// PST construction. Its embedded solver scratch (\c PstBuild.CE) is
+  /// the pipeline's only one: one run over the partial T(S) leaves both the
+  /// edge classes the PST is built from and the node classes the control
+  /// regions are read off there.
   PstBuildScratch PstBuild;
-  /// Control regions over the implicitly node-expanded graph T(S); kept
-  /// separate from PstBuild's solver scratch only so the two stages cannot
-  /// develop accidental ordering coupling — they are sized for different
-  /// node universes (N vs 2N) anyway.
-  ControlRegionsScratch CtrlRegions;
 };
 
 } // namespace pst

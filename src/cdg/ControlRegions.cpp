@@ -72,28 +72,28 @@ ControlRegionsResult pst::computeControlRegionsLinear(const CfgView &V) {
   return R;
 }
 
-ControlRegionsResult pst::computeControlRegionsLinearImplicit(
-    const CfgView &V, ControlRegionsScratch &S) {
-  PST_SPAN("cdg.control_regions");
-  // Endpoints of T(S) are synthesized arithmetically and the solver reads
-  // adjacency straight from the view's succ/pred segments.
-  uint32_t N = V.numNodes();
-  CycleEquivResult CE = computeCycleEquivalenceTs(V, S.Solver);
-
+ControlRegionsResult pst::controlRegionsFromClasses(const CycleEquivClasses &C,
+                                                    CycleEquivScratch &S) {
   ControlRegionsResult R;
-  R.NodeClass.resize(N);
-  S.Remap.assign(CE.NumClasses, UINT32_MAX);
+  R.NodeClass.resize(C.NodeClass.size());
+  S.ClassRemap.assign(C.NumClasses, UINT32_MAX);
   uint32_t Next = 0;
-  for (NodeId W = 0; W < N; ++W) {
-    uint32_t C = CE.classOf(W); // Representative edge of W has EdgeId W.
-    if (S.Remap[C] == UINT32_MAX)
-      S.Remap[C] = Next++;
-    R.NodeClass[W] = S.Remap[C];
+  for (size_t W = 0; W < C.NodeClass.size(); ++W) {
+    uint32_t &Dense = S.ClassRemap[C.NodeClass[W]];
+    if (Dense == UINT32_MAX)
+      Dense = Next++;
+    R.NodeClass[W] = Dense;
   }
   R.NumClasses = Next;
   PST_COUNTER("cdg.runs", 1);
   PST_COUNTER("cdg.classes", R.NumClasses);
   return R;
+}
+
+ControlRegionsResult pst::computeControlRegionsLinearImplicit(
+    const CfgView &V, ControlRegionsScratch &S) {
+  PST_SPAN("cdg.control_regions");
+  return controlRegionsFromClasses(computeCycleEquivalencePartialTs(V, S), S);
 }
 
 ControlRegionsResult

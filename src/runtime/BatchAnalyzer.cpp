@@ -16,10 +16,25 @@ FunctionAnalysis pst::analyzeFunction(const Cfg &G, PstScratch &Scratch,
   // both pipeline stages run on the shared view and never consult G again.
   CfgView V = CfgView::build(G, Scratch.View);
   FunctionAnalysis Out;
-  Out.Pst = ProgramStructureTree::build(V, Scratch.PstBuild);
-  if (ComputeControlRegions)
-    Out.ControlRegions =
-        computeControlRegionsLinearImplicit(V, Scratch.CtrlRegions);
+  if (!ComputeControlRegions) {
+    Out.Pst = ProgramStructureTree::build(V, Scratch.PstBuild);
+    return Out;
+  }
+  // One solver run over the partial T(S) gives S's edge classes, which
+  // build the PST, and the node classes, which are the control regions
+  // (Theorems 7-8). Both stay in the scratch: the tree's buffer and the
+  // partition are the call's only allocations.
+  CycleEquivScratch &CE = Scratch.PstBuild.CE;
+  CycleEquivClasses C;
+  {
+    PST_SPAN("pst.build");
+    C = computeCycleEquivalencePartialTs(V, CE);
+    Out.Pst = ProgramStructureTree::buildWithCycleEquiv(V, C.EdgeClass,
+                                                        C.NumClasses,
+                                                        Scratch.PstBuild);
+  }
+  PST_SPAN("cdg.control_regions");
+  Out.ControlRegions = controlRegionsFromClasses(C, CE);
   return Out;
 }
 
@@ -65,7 +80,7 @@ BatchAnalyzer::analyzeCorpus(const CorpusImage &Img) {
                Out[I].Pst = Img.pst(I);
                if (Opts.ComputeControlRegions)
                  Out[I].ControlRegions = computeControlRegionsLinearImplicit(
-                     Img.cfg(I), S.CtrlRegions);
+                     Img.cfg(I), S.PstBuild.CE);
              }
            });
   return Out;
@@ -208,7 +223,7 @@ void BatchAnalyzer::analyzeCorpusStream(const CorpusImage &Img,
                  A.Pst = Img.pst(Begin + I);
                  if (Opts.ComputeControlRegions)
                    A.ControlRegions = computeControlRegionsLinearImplicit(
-                       Img.cfg(Begin + I), S.CtrlRegions);
+                       Img.cfg(Begin + I), S.PstBuild.CE);
                  else
                    A.ControlRegions = ControlRegionsResult();
                }

@@ -321,7 +321,7 @@ TEST(Planner, GoldenPlanOnHotLoopNest) {
   P.finalize();
   EXPECT_EQ(formatParallelismPlan(P, planParallelism(P)),
             "parallelism plan for hotloop: candidates=2 selected=1 work=421\n"
-            "  #1 region 4 (b8->while9, while9->after10) loop: "
+            "  #1 region 6 (b8->while9, while9->after10) loop: "
             "coverage=0.914489 selfpar=6.250000 iters/entry=6.250000 "
             "benefit=0.768171\n");
 }
@@ -339,7 +339,7 @@ TEST(Planner, GoldenPlanOnMixedShape) {
             "  #1 region 2 (b2->while3, while3->after4) loop: "
             "coverage=0.772277 selfpar=9.333333 iters/entry=9.333333 "
             "benefit=0.689533\n"
-            "  #2 region 3 (while3->after4, join6->b13) if-then-else: "
+            "  #2 region 4 (while3->after4, join6->b13) if-then-else: "
             "coverage=0.079208 selfpar=1.142857 benefit=0.009901\n");
 }
 
