@@ -412,3 +412,95 @@ TEST_P(CycleEquivOrderInvariance, PartitionIndependentOfEdgeOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CycleEquivOrderInvariance,
                          ::testing::Range<uint64_t>(0, 100));
+
+namespace {
+
+/// Checks the preorder numbering contract on \p T: region R's subtree is
+/// exactly the id range [R, R + size), its first child is R + 1, and its
+/// children's ids ascend in child (entry-edge traversal) order.
+void expectPreorderIds(const ProgramStructureTree &T, const std::string &Ctx) {
+  std::vector<uint32_t> Size(T.numRegions(), 1);
+  for (RegionId R = T.numRegions(); R-- > 1;)
+    Size[T.region(R).Parent] += Size[R];
+  EXPECT_EQ(Size[T.root()], T.numRegions()) << Ctx;
+  for (RegionId R = 0; R < T.numRegions(); ++R) {
+    RegionId Next = R + 1;
+    for (RegionId C : T.children(R)) {
+      EXPECT_EQ(C, Next) << Ctx << " region " << R;
+      Next = C + Size[C];
+    }
+    EXPECT_EQ(Next, R + Size[R]) << Ctx << " region " << R;
+    // Every id in the range lies in R's subtree; nothing outside does.
+    for (RegionId X = 0; X < T.numRegions(); ++X)
+      EXPECT_EQ(T.contains(R, X), X >= R && X < R + Size[R])
+          << Ctx << " region " << R << " id " << X;
+  }
+}
+
+} // namespace
+
+// Region ids are a preorder of the tree, so every subtree is a contiguous
+// id range (the sizes above are summed child-first, which is only sound if
+// a parent's id is below its children's).
+class PstPreorderIds : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PstPreorderIds, SubtreesAreContiguousIdRanges) {
+  uint64_t Seed = GetParam();
+  Rng R(Seed * 613 + 11);
+  RandomCfgOptions Opts;
+  Opts.NumNodes = 2 + static_cast<uint32_t>(R.nextBelow(30));
+  Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(20));
+  Cfg G = randomBackboneCfg(R, Opts);
+  ASSERT_TRUE(validateCfg(G));
+  expectPreorderIds(ProgramStructureTree::build(FrozenCfg(G)),
+                    "seed " + std::to_string(Seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PstPreorderIds,
+                         ::testing::Range<uint64_t>(0, 60));
+
+TEST(Pst, PreorderIdsOnClassics) {
+  for (const Cfg &G :
+       {chainCfg(3), diamondLadderCfg(4), nestedWhileCfg(5),
+        nestedRepeatUntilCfg(3), irreducibleCfg(3), paperFigure1Cfg()})
+    expectPreorderIds(ProgramStructureTree::build(FrozenCfg(G)),
+                      formatPst(G, ProgramStructureTree::build(FrozenCfg(G))));
+}
+
+// Ids depend on the partition alone: renaming the classes (as a different
+// solver run would) leaves every table of the tree unchanged.
+TEST_P(PstPreorderIds, IdsIgnoreClassNumbering) {
+  uint64_t Seed = GetParam();
+  Rng R(Seed * 613 + 11);
+  RandomCfgOptions Opts;
+  Opts.NumNodes = 2 + static_cast<uint32_t>(R.nextBelow(30));
+  Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(20));
+  Cfg G = randomBackboneCfg(R, Opts);
+  FrozenCfg V(G);
+  CycleEquivResult CE = computeCycleEquivalence(V);
+  std::vector<uint32_t> Rename(CE.NumClasses);
+  for (uint32_t C = 0; C < CE.NumClasses; ++C)
+    Rename[C] = CE.NumClasses - 1 - C;
+  std::swap(Rename.front(), Rename[Rename.size() / 2]);
+  CycleEquivResult Renamed = CE;
+  for (uint32_t &C : Renamed.EdgeClass)
+    C = Rename[C];
+  PstBuildScratch S;
+  ProgramStructureTree A = ProgramStructureTree::buildWithCycleEquiv(V, CE, S);
+  ProgramStructureTree B =
+      ProgramStructureTree::buildWithCycleEquiv(V, Renamed, S);
+  EXPECT_EQ(formatPst(G, A), formatPst(G, B)) << "seed " << Seed;
+  auto Same = [](auto X, auto Y) {
+    return std::equal(X.begin(), X.end(), Y.begin(), Y.end());
+  };
+  EXPECT_TRUE(Same(A.nodeRegionTable(), B.nodeRegionTable()));
+  EXPECT_TRUE(Same(A.edgeRegionTable(), B.edgeRegionTable()));
+  EXPECT_TRUE(Same(A.entryOfTable(), B.entryOfTable()));
+  EXPECT_TRUE(Same(A.exitOfTable(), B.exitOfTable()));
+  EXPECT_TRUE(Same(A.childValTable(), B.childValTable()));
+  EXPECT_TRUE(Same(A.immValTable(), B.immValTable()));
+  for (RegionId X = 0; X < A.numRegions(); ++X) {
+    EXPECT_EQ(A.region(X).EntryEdge, B.region(X).EntryEdge);
+    EXPECT_EQ(A.region(X).Parent, B.region(X).Parent);
+  }
+}
