@@ -14,13 +14,12 @@
 /// not strictly postdominate C. For a fixed edge, that set is exactly the
 /// postdominator-tree ancestors of M up to — exclusive — ipdom(C)
 /// (inclusive of the pdt root when C is the root or unreachable in the
-/// reverse graph; empty when M is unreachable), which is how the two-pass
-/// construction here walks it: one counting pass, one fill pass, no
-/// per-node containers. Edges are visited in ascending id order, so each
-/// node's slice comes out sorted ascending — the same order a direct
-/// all-edges scan (`dominates(N, M) && !(N != C && dominates(N, C))`)
-/// produces, which the serving layer's cached-vs-uncached byte-identity
-/// gate relies on.
+/// reverse graph; empty when M is unreachable), which is how the
+/// construction here walks it into a \c NodeCsr. Edges are visited in
+/// ascending id order, so each node's slice comes out sorted ascending —
+/// the same order a direct all-edges scan (`dominates(N, M) &&
+/// !(N != C && dominates(N, C))`) produces, which the serving layer's
+/// cached-vs-uncached byte-identity gate relies on.
 ///
 /// Construction is O(size of the relation) after the postdominator tree,
 /// and a per-node query is a slice lookup — the precomputed-relation
@@ -35,7 +34,6 @@
 #include "pst/dom/Dominators.h"
 
 #include <span>
-#include <vector>
 
 namespace pst {
 
@@ -43,33 +41,23 @@ namespace pst {
 /// slices. Self-contained after construction.
 class ControlDependenceCsr {
 public:
-  ControlDependenceCsr() = default;
-
   /// Builds the relation for \p V using \p Pdt, which must be
   /// \c DomTree::buildPostDom of the same graph.
   ControlDependenceCsr(const CfgView &V, const DomTree &Pdt);
 
   /// The edges node \p N is control dependent on, ascending by edge id.
   std::span<const EdgeId> controllingEdges(NodeId N) const {
-    return std::span<const EdgeId>(Edges).subspan(Off[N], Off[N + 1] - Off[N]);
-  }
-
-  uint32_t numNodes() const {
-    return Off.empty() ? 0 : static_cast<uint32_t>(Off.size() - 1);
+    return Rel.row(N);
   }
 
   /// Total (node, edge) pairs in the relation.
-  uint64_t relationSize() const { return Edges.size(); }
+  uint64_t relationSize() const { return Rel.size(); }
 
-  /// Approximate heap footprint in bytes (for cache accounting).
-  size_t bytes() const {
-    return Off.capacity() * sizeof(uint32_t) +
-           Edges.capacity() * sizeof(EdgeId);
-  }
+  /// Heap footprint in bytes (for cache accounting).
+  size_t bytes() const { return Rel.bytes(); }
 
 private:
-  std::vector<uint32_t> Off;
-  std::vector<EdgeId> Edges;
+  NodeCsr Rel;
 };
 
 } // namespace pst

@@ -20,6 +20,9 @@
 /// Postdominators are dominators of the reversed graph (a \c ReversedCfgView
 /// keeps node ids, so the tree indexes the original nodes).
 ///
+/// Tree children and frontiers are \c NodeCsr relations, the layout the
+/// control-dependence CSR shares.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PST_DOM_DOMINATORS_H
@@ -27,9 +30,55 @@
 
 #include "pst/graph/CfgView.h"
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 namespace pst {
+
+/// The one layout of every dominator-derived relation (tree children,
+/// dominance frontiers, control dependence): N + 1 row offsets followed by
+/// the values, in one buffer, so a relation is one allocation whatever its
+/// size and its footprint is exactly the buffer. Immutable once built.
+class NodeCsr {
+public:
+  NodeCsr() = default;
+
+  /// Builds the relation over \p NumNodes rows. \p ForEachPair(Emit) must
+  /// call `Emit(Row, Value)` once per pair, in the order each row lists its
+  /// values. It runs twice (count, then fill) and must emit the same pairs
+  /// both times; no per-row containers, no sort.
+  template <class ForEachPairT>
+  NodeCsr(uint32_t NumNodes, ForEachPairT ForEachPair) : Rows(NumNodes) {
+    std::vector<uint32_t> Cursor(NumNodes + 1, 0);
+    ForEachPair([&](uint32_t Row, uint32_t) { ++Cursor[Row + 1]; });
+    for (uint32_t I = 0; I < NumNodes; ++I)
+      Cursor[I + 1] += Cursor[I];
+    Buf.resize(NumNodes + 1 + Cursor[NumNodes]);
+    std::copy(Cursor.begin(), Cursor.end(), Buf.begin());
+    ForEachPair([&](uint32_t Row, uint32_t Value) {
+      Buf[NumNodes + 1 + Cursor[Row]++] = Value;
+    });
+  }
+
+  /// Row \p N's values, in enumeration order.
+  std::span<const uint32_t> row(uint32_t N) const {
+    return std::span<const uint32_t>(Buf).subspan(Rows + 1 + Buf[N],
+                                                  Buf[N + 1] - Buf[N]);
+  }
+
+  uint32_t numNodes() const { return Rows; }
+
+  /// Total pairs in the relation.
+  uint64_t size() const { return Buf.empty() ? 0 : Buf.size() - Rows - 1; }
+
+  /// Heap footprint in bytes: exactly the buffer.
+  size_t bytes() const { return Buf.size() * sizeof(uint32_t); }
+
+private:
+  uint32_t Rows = 0;
+  std::vector<uint32_t> Buf; // Rows + 1 offsets, then the values.
+};
 
 /// An immediate-dominator tree over the nodes of a CFG.
 class DomTree {
@@ -59,8 +108,8 @@ public:
   /// unreachable from the root.
   NodeId idom(NodeId N) const { return Idom[N]; }
 
-  /// Children of \p N in the dominator tree.
-  const std::vector<NodeId> &children(NodeId N) const { return Kids[N]; }
+  /// Children of \p N in the dominator tree, ascending by node id.
+  std::span<const NodeId> children(NodeId N) const { return Kids.row(N); }
 
   /// True if \p N is reachable from the root (the root itself included).
   bool isReachable(NodeId N) const { return N == Root || Idom[N] != InvalidNode; }
@@ -77,24 +126,10 @@ public:
     return A != B && dominates(A, B);
   }
 
-  /// Depth of \p N in the tree (root is 0). Unreachable nodes report 0.
-  uint32_t depth(NodeId N) const { return Depth[N]; }
-
   uint32_t numNodes() const { return static_cast<uint32_t>(Idom.size()); }
 
-  /// Approximate heap footprint in bytes (for cache accounting).
-  size_t bytes() const {
-    size_t B = Idom.capacity() * sizeof(NodeId) +
-               Kids.capacity() * sizeof(std::vector<NodeId>) +
-               (In.capacity() + Out.capacity() + Depth.capacity()) *
-                   sizeof(uint32_t);
-    for (const std::vector<NodeId> &K : Kids)
-      B += K.capacity() * sizeof(NodeId);
-    return B;
-  }
-
 private:
-  void finalize(); // Builds Kids/In/Out/Depth from Idom.
+  void finalize(); // Builds Kids/In/Out from Idom.
 
   // Iterative kernel shared by the forward (dominator) and reversed
   // (postdominator) views; defined (and only instantiated) in
@@ -103,13 +138,13 @@ private:
 
   NodeId Root = InvalidNode;
   std::vector<NodeId> Idom;
-  std::vector<std::vector<NodeId>> Kids;
-  std::vector<uint32_t> In, Out, Depth;
+  NodeCsr Kids;
+  std::vector<uint32_t> In, Out;
 };
 
 /// Per-node dominance frontiers (Cytron et al.), computed from a dominator
 /// tree. DF(n) = merges m such that n dominates a predecessor of m but does
-/// not strictly dominate m.
+/// not strictly dominate m. Self-contained after construction.
 class DominanceFrontiers {
 public:
   /// Computes frontiers for \p V using dominator tree \p DT (which must have
@@ -117,21 +152,17 @@ public:
   DominanceFrontiers(const CfgView &V, const DomTree &DT);
 
   /// The frontier of \p N, sorted ascending, without duplicates.
-  const std::vector<NodeId> &frontier(NodeId N) const { return DF[N]; }
+  std::span<const NodeId> frontier(NodeId N) const { return DF.row(N); }
 
   /// Iterated dominance frontier of the node set \p Defs (sorted, deduped).
-  std::vector<NodeId> iterated(const std::vector<NodeId> &Defs) const;
+  /// \p Defs may hold duplicates and need not be sorted.
+  std::vector<NodeId> iterated(std::span<const NodeId> Defs) const;
 
-  /// Approximate heap footprint in bytes (for cache accounting).
-  size_t bytes() const {
-    size_t B = DF.capacity() * sizeof(std::vector<NodeId>);
-    for (const std::vector<NodeId> &F : DF)
-      B += F.capacity() * sizeof(NodeId);
-    return B;
-  }
+  /// Heap footprint in bytes (for cache accounting).
+  size_t bytes() const { return DF.bytes(); }
 
 private:
-  std::vector<std::vector<NodeId>> DF;
+  NodeCsr DF;
 };
 
 } // namespace pst

@@ -8,10 +8,11 @@
 ///
 /// \file
 /// The per-epoch derived-analysis cache: lazily materialized bundles of
-/// everything a query needs beyond the frozen CFG/PST pair — dominator
-/// tree, postdominator tree, dominance frontiers and the control-dependence
-/// CSR. `region` and `regions` read the PST directly and never touch a
-/// bundle.
+/// exactly what the dom/cdep/phi queries read beyond the frozen CFG/PST
+/// pair — the immediate-dominator array, the dominance-frontier CSR and
+/// the control-dependence CSR. The dominator and postdominator trees are
+/// transients of a bundle's build. `region` and `regions` read the PST
+/// directly and never touch a bundle.
 ///
 /// One \c DerivedSlot guards one function's bundle with a single atomic
 /// pointer in three states: null (empty), a sentinel (a build is in
@@ -47,30 +48,33 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 namespace pst {
 namespace serve {
 
-/// Everything the dom/cdep/phi queries derive from one frozen function:
-/// dom/postdom trees, dominance frontiers and the cdep CSR. Immutable
-/// after construction; self-contained (no references into the view it was
-/// built from).
+/// Exactly what the dom/cdep/phi queries read from one frozen function:
+/// the immediate-dominator array (`dom`), the dominance frontiers (`phi`)
+/// and the control-dependence CSR (`cdep`). The dominator and
+/// postdominator trees they derive from are locals of the constructor.
+/// Immutable after construction; self-contained (no references into the
+/// view it was built from). A bundle is four heap blocks, itself and one
+/// per array, whatever the function's size.
 struct DerivedBundle {
   // The tree is unused; the parameter stays because perfbench/ builds
   // bundles through this signature.
-  DerivedBundle(const CfgView &V, const ProgramStructureTree &)
-      : Dom(DomTree::buildIterative(V)), PostDom(DomTree::buildPostDom(V)),
-        Df(V, Dom), Cdep(V, PostDom) {
-    Bytes = sizeof(DerivedBundle) + Dom.bytes() + PostDom.bytes() +
-            Df.bytes() + Cdep.bytes();
-  }
+  DerivedBundle(const CfgView &V, const ProgramStructureTree &);
 
-  DomTree Dom;
-  DomTree PostDom;
+  /// Immediate dominator per node; InvalidNode for the entry and for
+  /// nodes unreachable from it.
+  std::vector<NodeId> Idom;
   DominanceFrontiers Df;
   ControlDependenceCsr Cdep;
-  /// Approximate footprint, computed once at build.
+  /// Exact footprint: sizeof(DerivedBundle) plus the three arrays.
   size_t Bytes = 0;
+
+private:
+  DerivedBundle(const CfgView &V, const DomTree &Dom);
 };
 
 /// Monotonic cache counters, shared by every slot of one server.
@@ -128,9 +132,6 @@ public:
   const DerivedBundle &get(const CfgView &V, const ProgramStructureTree &T,
                            DerivedCacheCounters &C) const;
 
-  /// Non-blocking peek: the bundle if one is ready, else null.
-  const DerivedBundle *ready() const;
-
 private:
   static const DerivedBundle *buildingSentinel();
 
@@ -150,9 +151,6 @@ public:
 
   DerivedSlot &slot(uint64_t Fn) const { return Slots[Fn]; }
   uint64_t numSlots() const { return NumSlots; }
-
-  /// Bytes currently held by ready base-image bundles (O(slots) scan).
-  size_t bytesReady() const;
 
 private:
   std::unique_ptr<DerivedSlot[]> Slots;

@@ -72,7 +72,6 @@ struct Request {
 
 /// Per-worker reusable query state.
 struct QueryScratch {
-  std::vector<NodeId> Defs;
   std::vector<EdgeId> Edges;
   std::string Out;
 };
@@ -86,8 +85,8 @@ struct ServeOptions {
   /// Epoch table capacity per shard (see EpochTable.h on sizing).
   uint32_t EpochCapacity = 64;
   /// Per-epoch derived-analysis cache (DerivedCache.h): first touch of a
-  /// function by dom/cdep/phi builds its dom/postdom/frontier/cdep-CSR
-  /// bundle once per epoch; later queries reuse it. Responses are
+  /// function by dom/cdep/phi builds its idom/frontier/cdep-CSR bundle
+  /// once per epoch; later queries reuse it. Responses are
   /// byte-identical either way (gated by tests and `time_serve`); disable
   /// (`pstserve --no-derived-cache`) to force per-query recomputation.
   bool DerivedCache = true;

@@ -15,13 +15,14 @@ using namespace pst;
 
 void DomTree::finalize() {
   uint32_t N = numNodes();
-  Kids.assign(N, {});
+  // Ascending V fills each child list ascending by node id.
+  Kids = NodeCsr(N, [&](auto Emit) {
+    for (NodeId V = 0; V < N; ++V)
+      if (V != Root && Idom[V] != InvalidNode)
+        Emit(Idom[V], V);
+  });
   In.assign(N, 0);
   Out.assign(N, 0);
-  Depth.assign(N, 0);
-  for (NodeId V = 0; V < N; ++V)
-    if (V != Root && Idom[V] != InvalidNode)
-      Kids[Idom[V]].push_back(V);
 
   // Interval numbering by an explicit-stack DFS over the tree.
   uint32_t Clock = 0;
@@ -32,13 +33,13 @@ void DomTree::finalize() {
   }
   while (!Stack.empty()) {
     auto &[V, Next] = Stack.back();
-    if (Next == Kids[V].size()) {
+    std::span<const NodeId> VKids = Kids.row(V);
+    if (Next == VKids.size()) {
       Out[V] = Clock++;
       Stack.pop_back();
       continue;
     }
-    NodeId C = Kids[V][Next++];
-    Depth[C] = Depth[V] + 1;
+    NodeId C = VKids[Next++];
     In[C] = Clock++;
     Stack.emplace_back(C, 0);
   }
@@ -221,30 +222,34 @@ DomTree DomTree::fromIdom(NodeId Root, std::vector<NodeId> Idom) {
 
 DominanceFrontiers::DominanceFrontiers(const CfgView &G, const DomTree &DT) {
   uint32_t N = G.numNodes();
-  DF.assign(N, {});
-  for (NodeId M = 0; M < N; ++M) {
-    if (G.predEdges(M).size() < 2 || !DT.isReachable(M))
-      continue;
-    NodeId IdomM = DT.idom(M);
-    for (EdgeId E : G.predEdges(M)) {
-      NodeId Runner = G.source(E);
-      if (!DT.isReachable(Runner))
+  // Merges M are visited ascending and Last[Runner] drops a second walk's
+  // repeat of (Runner, M), so each frontier comes out sorted and deduped.
+  std::vector<NodeId> Last(N);
+  DF = NodeCsr(N, [&](auto Emit) {
+    std::fill(Last.begin(), Last.end(), InvalidNode);
+    for (NodeId M = 0; M < N; ++M) {
+      if (G.predEdges(M).size() < 2 || !DT.isReachable(M))
         continue;
-      while (Runner != IdomM && Runner != InvalidNode) {
-        DF[Runner].push_back(M);
-        Runner = DT.idom(Runner);
+      NodeId IdomM = DT.idom(M);
+      for (EdgeId E : G.predEdges(M)) {
+        NodeId Runner = G.source(E);
+        if (!DT.isReachable(Runner))
+          continue;
+        for (; Runner != IdomM && Runner != InvalidNode;
+             Runner = DT.idom(Runner))
+          if (Last[Runner] != M) {
+            Last[Runner] = M;
+            Emit(Runner, M);
+          }
       }
     }
-  }
-  for (auto &F : DF) {
-    std::sort(F.begin(), F.end());
-    F.erase(std::unique(F.begin(), F.end()), F.end());
-  }
+  });
 }
 
 std::vector<NodeId>
-DominanceFrontiers::iterated(const std::vector<NodeId> &Defs) const {
-  std::vector<bool> InResult(DF.size(), false), InWork(DF.size(), false);
+DominanceFrontiers::iterated(std::span<const NodeId> Defs) const {
+  uint32_t N = DF.numNodes();
+  std::vector<bool> InResult(N, false), InWork(N, false);
   std::vector<NodeId> Work;
   for (NodeId D : Defs) {
     if (!InWork[D]) {
@@ -256,7 +261,7 @@ DominanceFrontiers::iterated(const std::vector<NodeId> &Defs) const {
   while (!Work.empty()) {
     NodeId V = Work.back();
     Work.pop_back();
-    for (NodeId M : DF[V]) {
+    for (NodeId M : DF.row(V)) {
       if (InResult[M])
         continue;
       InResult[M] = true;

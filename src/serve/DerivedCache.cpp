@@ -26,6 +26,17 @@
 using namespace pst;
 using namespace pst::serve;
 
+DerivedBundle::DerivedBundle(const CfgView &V, const ProgramStructureTree &)
+    : DerivedBundle(V, DomTree::buildIterative(V)) {}
+
+DerivedBundle::DerivedBundle(const CfgView &V, const DomTree &Dom)
+    : Idom(V.numNodes()), Df(V, Dom), Cdep(V, DomTree::buildPostDom(V)) {
+  for (NodeId N = 0; N < V.numNodes(); ++N)
+    Idom[N] = Dom.idom(N);
+  Bytes = sizeof(DerivedBundle) + Idom.size() * sizeof(NodeId) + Df.bytes() +
+          Cdep.bytes();
+}
+
 const DerivedBundle *DerivedSlot::buildingSentinel() {
   // Any non-null pointer that can never be a real bundle address works;
   // the static's address is stable and never dereferenced as a bundle.
@@ -40,11 +51,6 @@ DerivedSlot::~DerivedSlot() {
   // be a lifetime bug upstream.
   if (P && P != buildingSentinel())
     delete P;
-}
-
-const DerivedBundle *DerivedSlot::ready() const {
-  const DerivedBundle *P = Ptr.load(std::memory_order_acquire);
-  return (P && P != buildingSentinel()) ? P : nullptr;
 }
 
 const DerivedBundle &DerivedSlot::get(const CfgView &V,
@@ -89,12 +95,4 @@ const DerivedBundle &DerivedSlot::get(const CfgView &V,
     PST_COUNTER("serve.cache.hits", 1);
     return *P;
   }
-}
-
-size_t DerivedCache::bytesReady() const {
-  size_t B = 0;
-  for (uint64_t I = 0; I < NumSlots; ++I)
-    if (const DerivedBundle *P = Slots[I].ready())
-      B += P->Bytes;
-  return B;
 }

@@ -8,8 +8,8 @@
 // read the frozen PST directly: PSTs are shallow, so the parent walk is
 // already effectively constant time. `dom`, `cdep` and `phi` go through
 // the per-epoch DerivedCache by default: first touch of a function
-// materializes its dominator/postdominator/frontier/cdep-CSR bundle once,
-// and every later query is a lookup. With the cache disabled
+// materializes its idom/frontier/cdep-CSR bundle once, and every later
+// query is a lookup. With the cache disabled
 // (ServeOptions::DerivedCache = false) each query derives what it needs
 // from the frozen views on the spot; both paths format byte-identical
 // responses, which tests and time_serve gate on.
@@ -127,7 +127,7 @@ void runDom(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
             const DerivedBundle *B) {
   NodeId Idom;
   if (B) {
-    Idom = B->Dom.idom(R.A);
+    Idom = B->Idom[R.A];
   } else {
     DomTree Dt = DomTree::buildIterative(F.View);
     Idom = Dt.idom(R.A);
@@ -139,16 +139,14 @@ void runDom(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
 
 void runPhi(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
             const DerivedBundle *B) {
-  Sc.Defs.assign(R.Defs.begin(), R.Defs.end());
+  // iterated() dedups the defs and returns the blocks sorted.
   std::vector<NodeId> Blocks;
   if (B) {
-    Blocks = B->Df.iterated(Sc.Defs);
+    Blocks = B->Df.iterated(R.Defs);
   } else {
     DomTree Dt = DomTree::buildIterative(F.View);
-    DominanceFrontiers Df(F.View, Dt);
-    Blocks = Df.iterated(Sc.Defs);
+    Blocks = DominanceFrontiers(F.View, Dt).iterated(R.Defs);
   }
-  std::sort(Blocks.begin(), Blocks.end());
   Sc.Out += "ok phi fn=" + std::to_string(R.Fn) + " defs=[";
   for (size_t I = 0; I < R.Defs.size(); ++I) {
     if (I)

@@ -85,7 +85,7 @@ SsaForm pst::buildSsa(const LoweredFunction &F, const PhiPlacement &P) {
         }
       }
     }
-    const auto &Kids = DT.children(B);
+    std::span<const NodeId> Kids = DT.children(B);
     if (Fr.ChildIdx < Kids.size()) {
       NodeId C = Kids[Fr.ChildIdx++];
       Walk.push_back(Frame{C, 0, {}, false});

@@ -13,6 +13,12 @@
 //   computeControlRegionsLinearImplicit   1 (the partition)
 //   copy of a built tree                  1 (the copy's buffer)
 //
+// A serving bundle is gated on what it keeps rather than what its build
+// makes: a window that records each allocation's address and size, and
+// drops it again when it is freed, leaves exactly the bundle's live
+// blocks. A bundle keeps 4 (itself, the idom array and the two CSRs)
+// whatever the function's size, and their bytes are its Bytes.
+//
 // Nothing is asserted inside a counting window, so the framework's own
 // allocations never land in a count.
 //
@@ -21,27 +27,60 @@
 #include "pst/cdg/ControlRegions.h"
 #include "pst/core/ProgramStructureTree.h"
 #include "pst/runtime/BatchAnalyzer.h"
+#include "pst/serve/DerivedCache.h"
 #include "pst/workload/Corpus.h"
+#include "pst/workload/CorpusStream.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 namespace {
 std::atomic<uint64_t> GAllocs{0};
 
+/// The live-block window: while GTracking is set, every allocation is
+/// recorded and every free of a recorded block removes it. Fixed storage,
+/// so the window allocates nothing itself. The tests are single-threaded.
+struct LiveBlock {
+  void *P;
+  size_t Size;
+};
+constexpr size_t MaxLiveBlocks = 256;
+LiveBlock GLive[MaxLiveBlocks];
+size_t GNumLive = 0;
+bool GTracking = false;
+bool GLiveOverflow = false;
+
 void *countedAlloc(size_t Size, size_t Align) {
   GAllocs.fetch_add(1, std::memory_order_relaxed);
-  Size = Size ? Size : 1;
+  size_t Bytes = Size ? Size : 1;
   void *P = Align <= alignof(std::max_align_t)
-                ? std::malloc(Size)
-                : std::aligned_alloc(Align, (Size + Align - 1) / Align * Align);
+                ? std::malloc(Bytes)
+                : std::aligned_alloc(Align, (Bytes + Align - 1) / Align * Align);
   if (!P)
     throw std::bad_alloc();
+  if (GTracking) {
+    if (GNumLive < MaxLiveBlocks)
+      GLive[GNumLive++] = {P, Size};
+    else
+      GLiveOverflow = true;
+  }
   return P;
+}
+
+void countedFree(void *P) {
+  if (GTracking)
+    for (size_t I = 0; I < GNumLive; ++I)
+      if (GLive[I].P == P) {
+        GLive[I] = GLive[--GNumLive];
+        break;
+      }
+  std::free(P);
 }
 } // namespace
 
@@ -53,17 +92,17 @@ void *operator new(size_t Size, std::align_val_t A) {
 void *operator new[](size_t Size, std::align_val_t A) {
   return countedAlloc(Size, static_cast<size_t>(A));
 }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, size_t) noexcept { std::free(P); }
-void operator delete[](void *P, size_t) noexcept { std::free(P); }
-void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete(void *P) noexcept { countedFree(P); }
+void operator delete[](void *P) noexcept { countedFree(P); }
+void operator delete(void *P, size_t) noexcept { countedFree(P); }
+void operator delete[](void *P, size_t) noexcept { countedFree(P); }
+void operator delete(void *P, std::align_val_t) noexcept { countedFree(P); }
+void operator delete[](void *P, std::align_val_t) noexcept { countedFree(P); }
 void operator delete(void *P, size_t, std::align_val_t) noexcept {
-  std::free(P);
+  countedFree(P);
 }
 void operator delete[](void *P, size_t, std::align_val_t) noexcept {
-  std::free(P);
+  countedFree(P);
 }
 
 using namespace pst;
@@ -170,6 +209,46 @@ TEST(AllocGate, CopyOfBuiltTreeMakesOneAndAdoptedCopyNone) {
   expectEvery(Copy, 1);
   expectEvery(Moves, 0);
   expectEvery(Adopted, 0);
+}
+
+TEST(AllocGate, BundleRetainsFixedBlockCount) {
+  // The paper corpus plus a sample of the stream corpus serving runs on.
+  std::vector<Cfg> Graphs = paperGraphs();
+  StreamCorpusOptions Stream;
+  std::string Name;
+  for (uint64_t I = 0; I < 1000; ++I) {
+    Cfg G;
+    generateStreamFunction(Stream, I, G, Name);
+    Graphs.push_back(std::move(G));
+  }
+
+  std::vector<uint64_t> Blocks(Graphs.size());
+  for (size_t I = 0; I < Graphs.size(); ++I) {
+    FrozenCfg V(Graphs[I]);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
+    GNumLive = 0;
+    GTracking = true;
+    auto B = std::make_unique<serve::DerivedBundle>(V, T);
+    GTracking = false;
+    Blocks[I] = GNumLive;
+    ASSERT_FALSE(GLiveOverflow) << "function " << I;
+
+    // Bytes is exactly the live blocks, and exactly the owned arrays.
+    size_t LiveBytes = 0;
+    for (size_t K = 0; K < GNumLive; ++K)
+      LiveBytes += GLive[K].Size;
+    EXPECT_EQ(B->Bytes, LiveBytes) << "function " << I;
+    const uint32_t N = V.view().numNodes();
+    size_t Frontiers = 0;
+    for (NodeId M = 0; M < N; ++M)
+      Frontiers += B->Df.frontier(M).size();
+    EXPECT_EQ(B->Bytes, sizeof(serve::DerivedBundle) +
+                            sizeof(uint32_t) * (B->Idom.size() + (N + 1) +
+                                                Frontiers + (N + 1) +
+                                                B->Cdep.relationSize()))
+        << "function " << I;
+  }
+  expectEvery(Blocks, 4);
 }
 
 } // namespace

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+
 using namespace pst;
 
 namespace {
@@ -42,6 +45,36 @@ std::vector<BitVector> dominatorSetsOracle(const Cfg &G) {
     }
   }
   return Dom;
+}
+
+std::vector<NodeId> asVector(std::span<const NodeId> S) {
+  return std::vector<NodeId>(S.begin(), S.end());
+}
+
+/// The flat layouts of \p T, a dominator tree of \p G (postdominators are
+/// dominators of the reversed graph), against their definitions:
+/// children(N) is {V : idom(V) == N} ascending, and frontier(N) is every M
+/// with a predecessor that N dominates where N does not strictly dominate
+/// M, decided by brute force over the dominator-set oracle.
+void expectFlatLayoutsMatchDefinitions(const Cfg &G, const DomTree &T,
+                                       const std::string &What) {
+  FrozenCfg V(G);
+  DominanceFrontiers DF(V, T);
+  auto Dom = dominatorSetsOracle(G);
+  for (NodeId N = 0; N < G.numNodes(); ++N) {
+    std::vector<NodeId> Kids, Frontier;
+    for (NodeId M = 0; M < G.numNodes(); ++M) {
+      if (T.idom(M) == N)
+        Kids.push_back(M);
+      bool DominatesPred = false;
+      for (EdgeId E : G.predEdges(M))
+        DominatesPred |= Dom[G.source(E)].test(N);
+      if (DominatesPred && !(N != M && Dom[M].test(N)))
+        Frontier.push_back(M);
+    }
+    ASSERT_EQ(asVector(T.children(N)), Kids) << What << " node " << N;
+    ASSERT_EQ(asVector(DF.frontier(N)), Frontier) << What << " node " << N;
+  }
 }
 
 void expectTreeMatchesOracle(const Cfg &G, const DomTree &T) {
@@ -100,13 +133,6 @@ TEST(DomTree, DominatesQueries) {
   EXPECT_TRUE(T.strictlyDominates(0, 6));
 }
 
-TEST(DomTree, DepthsAreTreeDepths) {
-  Cfg G = chainCfg(3); // entry -> b0 -> b1 -> b2 -> exit.
-  DomTree T = DomTree::buildIterative(FrozenCfg(G));
-  EXPECT_EQ(T.depth(G.entry()), 0u);
-  EXPECT_EQ(T.depth(G.exit()), 4u);
-}
-
 TEST(DomTree, LengauerTarjanMatchesIterativeOnClassics) {
   for (const Cfg &G : {diamondLadderCfg(3), nestedWhileCfg(3),
                        nestedRepeatUntilCfg(4), irreducibleCfg(2)}) {
@@ -143,8 +169,8 @@ TEST(DominanceFrontiers, Diamond) {
   DomTree T = DomTree::buildIterative(V);
   DominanceFrontiers DF(V, T);
   // Arms' frontier is the join; the cond's is empty (it dominates join).
-  EXPECT_EQ(DF.frontier(2), (std::vector<NodeId>{4}));
-  EXPECT_EQ(DF.frontier(3), (std::vector<NodeId>{4}));
+  EXPECT_EQ(asVector(DF.frontier(2)), (std::vector<NodeId>{4}));
+  EXPECT_EQ(asVector(DF.frontier(3)), (std::vector<NodeId>{4}));
   EXPECT_TRUE(DF.frontier(1).empty());
 }
 
@@ -156,7 +182,7 @@ TEST(DominanceFrontiers, LoopHeaderInOwnFrontier) {
   // The loop header (node 2, "head0") is a merge reached around the back-
   // edge, so it appears in its own frontier.
   NodeId Head = 2;
-  const auto &F = DF.frontier(Head);
+  std::span<const NodeId> F = DF.frontier(Head);
   EXPECT_NE(std::find(F.begin(), F.end(), Head), F.end());
 }
 
@@ -194,6 +220,18 @@ TEST_P(DomRandomTest, AllThreeAgree) {
     for (NodeId Y = 0; Y < G.numNodes(); ++Y)
       ASSERT_EQ(A.dominates(X, Y), Dom[Y].test(X))
           << "seed " << GetParam() << " pair " << X << "," << Y;
+
+  // The CSR children and frontiers, here and on one of irreducibleCfg(1..4).
+  const std::string Seed = "seed " + std::to_string(GetParam());
+  expectFlatLayoutsMatchDefinitions(G, A, Seed + " dom");
+  expectFlatLayoutsMatchDefinitions(reverseCfg(G), DomTree::buildPostDom(V),
+                                    Seed + " postdom");
+  Cfg I = irreducibleCfg(1 + static_cast<uint32_t>(GetParam() % 4));
+  FrozenCfg IV(I);
+  expectFlatLayoutsMatchDefinitions(I, DomTree::buildIterative(IV),
+                                    Seed + " irreducible dom");
+  expectFlatLayoutsMatchDefinitions(reverseCfg(I), DomTree::buildPostDom(IV),
+                                    Seed + " irreducible postdom");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DomRandomTest,

@@ -220,7 +220,8 @@ digestStages(const std::vector<Procedure> &Procs) {
       D["dom.postdom"].add(PostDom.idom(N));
       D["dom.lengauer_tarjan"].add(Lt.idom(N));
       D["dom.via_pst"].add(PstDom.idom(N));
-      D["dom.frontiers"].add(DF.frontier(N));
+      std::span<const NodeId> Df = DF.frontier(N);
+      D["dom.frontiers"].add(std::vector<uint32_t>(Df.begin(), Df.end()));
       std::span<const EdgeId> Ctl = Cdep.controllingEdges(N);
       D["dom.cdep_csr"].add(std::vector<uint32_t>(Ctl.begin(), Ctl.end()));
     }
