@@ -96,7 +96,6 @@ uint64_t fingerprint(const ProgramStructureTree &T) {
   };
   MixBytes(T.regionTable().data(), T.regionTable().size_bytes());
   MixBytes(T.nodeRegionTable().data(), T.nodeRegionTable().size_bytes());
-  MixBytes(T.edgeRegionTable().data(), T.edgeRegionTable().size_bytes());
   MixBytes(T.childOffTable().data(), T.childOffTable().size_bytes());
   MixBytes(T.childValTable().data(), T.childValTable().size_bytes());
   MixBytes(T.immOffTable().data(), T.immOffTable().size_bytes());

@@ -63,11 +63,11 @@ struct SeseRegion {
 /// Owns the cycle-equivalence solver scratch (whose classes \c build
 /// consumes in place) and the builder's own transients: the
 /// edge-traversal clock, the two DFS walks' visited/stack arrays, the CSR
-/// class->edges grouping and the regions in pairing order. With the
-/// buffers warm, a build allocates only the returned tree's one buffer.
-/// Same contract as \c CycleEquivScratch: contents between builds are
-/// unspecified, results are independent of prior use, and one scratch must
-/// not be shared by two threads at once.
+/// class->edges grouping, the regions in pairing order and their per-edge
+/// entry/exit maps. With the buffers warm, a build allocates only the
+/// returned tree's one buffer. Same contract as \c CycleEquivScratch:
+/// contents between builds are unspecified, results are independent of
+/// prior use, and one scratch must not be shared by two threads at once.
 struct PstBuildScratch {
   CycleEquivScratch CE;
   std::vector<uint32_t> EdgeTime;
@@ -78,9 +78,11 @@ struct PstBuildScratch {
   std::vector<uint32_t> ClassOff, ClassCursor;
   std::vector<EdgeId> ClassEdges;
   // Regions as pairing creates them (in class order, which depends on the
-  // solver), the region-entry sequence of the replay DFS, and each
-  // pairing-order region's final (preorder) id.
+  // solver), the pairing-order region each edge opens / closes (or
+  // InvalidRegion) for the replay DFS, the region-entry sequence of that
+  // DFS, and each pairing-order region's final (preorder) id.
   std::vector<SeseRegion> Paired;
+  std::vector<RegionId> EntryOf, ExitOf;
   std::vector<RegionId> EntrySeq;
   std::vector<RegionId> PreorderId;
   // Subtree sizes / next free ids of the renumbering, then the scatter
@@ -98,7 +100,7 @@ struct PstBuildScratch {
 /// contiguous id range starting at its root.
 ///
 /// Storage comes in two flavors behind one read API. A *built* tree owns
-/// one byte buffer holding its nine arrays back to back, in the order and
+/// one byte buffer holding its six arrays back to back, in the order and
 /// layout of the corpus image's per-function slices, and every accessor
 /// reads it through bound spans. An *adopted* tree (\c adoptExternal)
 /// points the same spans at externally-owned flat arrays — in practice
@@ -149,9 +151,6 @@ public:
   static ProgramStructureTree
   adoptExternal(std::span<const SeseRegion> Regions,
                 std::span<const RegionId> NodeRegion,
-                std::span<const RegionId> EdgeRegion,
-                std::span<const RegionId> EntryOf,
-                std::span<const RegionId> ExitOf,
                 std::span<const uint32_t> ChildOff,
                 std::span<const RegionId> ChildVal,
                 std::span<const uint32_t> ImmOff,
@@ -168,16 +167,37 @@ public:
   /// (the root contains everything).
   RegionId regionOfNode(NodeId N) const { return Arr.NodeRegion[N]; }
 
+  /// \name Per-edge queries
+  /// Derived in O(1) from the node map, the region table and \p E's
+  /// endpoints in \p V (the view the tree was built from). A region's
+  /// entry edge is the only edge from outside into its body, so the
+  /// region \p E opens can only be the innermost region of its target;
+  /// dually, the region \p E closes can only be that of its source.
+  /// @{
+
+  /// Region whose entry edge is \p E, or InvalidRegion.
+  RegionId regionEnteredBy(const CfgView &V, EdgeId E) const {
+    RegionId R = Arr.NodeRegion[V.target(E)];
+    return Arr.Regions[R].EntryEdge == E ? R : InvalidRegion;
+  }
+  /// Region whose exit edge is \p E, or InvalidRegion.
+  RegionId regionExitedBy(const CfgView &V, EdgeId E) const {
+    RegionId R = Arr.NodeRegion[V.source(E)];
+    return Arr.Regions[R].ExitEdge == E ? R : InvalidRegion;
+  }
+
   /// Innermost region whose body contains edge \p E. By convention an entry
   /// edge belongs to the region it opens and an exit edge to the region
   /// that encloses the boundary (its region's parent, or the sequentially
-  /// following region when the edge also opens one).
-  RegionId regionOfEdge(EdgeId E) const { return Arr.EdgeRegion[E]; }
-
-  /// Region whose entry edge is \p E, or InvalidRegion.
-  RegionId regionEnteredBy(EdgeId E) const { return Arr.EntryOf[E]; }
-  /// Region whose exit edge is \p E, or InvalidRegion.
-  RegionId regionExitedBy(EdgeId E) const { return Arr.ExitOf[E]; }
+  /// following region when the edge also opens one). Any other edge lies
+  /// in its source's innermost region.
+  RegionId regionOfEdge(const CfgView &V, EdgeId E) const {
+    if (RegionId Entered = regionEnteredBy(V, E); Entered != InvalidRegion)
+      return Entered;
+    RegionId R = Arr.NodeRegion[V.source(E)];
+    return Arr.Regions[R].ExitEdge == E ? Arr.Regions[R].Parent : R;
+  }
+  /// @}
 
   /// Immediately nested regions of \p R, in entry-edge traversal order.
   /// (A CSR segment of the tree-level child array; stable while the tree
@@ -205,9 +225,6 @@ public:
   /// @{
   std::span<const SeseRegion> regionTable() const { return Arr.Regions; }
   std::span<const RegionId> nodeRegionTable() const { return Arr.NodeRegion; }
-  std::span<const RegionId> edgeRegionTable() const { return Arr.EdgeRegion; }
-  std::span<const RegionId> entryOfTable() const { return Arr.EntryOf; }
-  std::span<const RegionId> exitOfTable() const { return Arr.ExitOf; }
   std::span<const uint32_t> childOffTable() const { return Arr.ChildOff; }
   std::span<const RegionId> childValTable() const { return Arr.ChildVal; }
   std::span<const uint32_t> immOffTable() const { return Arr.ImmOff; }
@@ -219,12 +236,10 @@ public:
   bool isExternal() const { return External; }
 
 private:
-  /// The tree's nine arrays, in image-slice order.
+  /// The tree's six arrays, in image-slice order.
   struct Arrays {
     std::span<const SeseRegion> Regions;
     std::span<const RegionId> NodeRegion;
-    std::span<const RegionId> EdgeRegion;
-    std::span<const RegionId> EntryOf, ExitOf;
     // Region R's children / immediate nodes are the CSR segment
     // [Off[R], Off[R+1]) of the *Val arrays.
     std::span<const uint32_t> ChildOff;
@@ -233,15 +248,14 @@ private:
     std::span<const NodeId> ImmVal;
   };
 
-  /// Bytes of the buffer of a tree with \p N nodes, \p E edges and \p R
-  /// regions.
-  static size_t bufferBytes(size_t N, size_t E, size_t R);
+  /// Bytes of the buffer of a tree with \p N nodes and \p R regions.
+  static size_t bufferBytes(size_t N, size_t R);
 
-  /// Allocates the buffer for a tree of \p N nodes, \p E edges and \p R
-  /// regions and points every array into it.
-  void allocate(uint32_t N, uint32_t E, uint32_t R);
+  /// Allocates the buffer for a tree of \p N nodes and \p R regions and
+  /// points every array into it.
+  void allocate(uint32_t N, uint32_t R);
 
-  /// The owned buffer: the nine arrays back to back. Null for adopted and
+  /// The owned buffer: the six arrays back to back. Null for adopted and
   /// default-constructed trees.
   std::unique_ptr<std::byte[]> Storage;
   /// The accessor table: spans into either Storage (built trees) or

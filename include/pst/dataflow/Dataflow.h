@@ -18,8 +18,10 @@
 ///    propagate concrete values from region entries inward.
 ///  * QPG solving (see Qpg.h) for sparse single-instance problems.
 ///
-/// Problems are stated forward; backward problems (liveness) are flipped
-/// onto the reversed CFG with \c reverseProblem.
+/// Problems are stated forward. A backward problem (\c makeLiveVariables
+/// in Problems.h) is stated forward over \c reverseCfg of its graph, which
+/// keeps node and edge ids, so the solution's In/Out are the backward
+/// OUT/IN.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,11 +90,6 @@ DataflowSolution solveIterative(const CfgView &V, const BitVectorProblem &P);
 DataflowSolution solveElimination(const CfgView &V,
                                   const ProgramStructureTree &T,
                                   const BitVectorProblem &P);
-
-/// Restates a backward problem over \p G as a forward problem over
-/// \c reverseCfg(G) (edge/node ids are preserved by reversal, so the
-/// returned solution's In/Out are the backward OUT/IN).
-BitVectorProblem reverseProblem(const BitVectorProblem &P);
 
 } // namespace pst
 

@@ -16,13 +16,13 @@
 /// following Kremlin's MemMapPool/MemMapAllocator idiom of pooled
 /// mmap-backed allocation. Every per-function array of the pipeline's two
 /// frozen products — the eight \c CfgView CSR arrays and the PST's
-/// Regions/NodeRegion/EdgeRegion/EntryOf/ExitOf/ChildOff/ChildVal/ImmOff/
-/// ImmVal — is concatenated into one shared global array, and a
-/// per-function offset table records where each function's slices start.
+/// Regions/NodeRegion/ChildOff/ChildVal/ImmOff/ImmVal — is concatenated
+/// into one shared global array, and a per-function offset table records
+/// where each function's slices start.
 /// Names and node labels ride along in a string table so mapped functions
 /// print identically to freshly parsed ones.
 ///
-/// On-disk format (version 1), all fields little-endian on little-endian
+/// On-disk format (version 2), all fields little-endian on little-endian
 /// hosts (an endianness tag rejects foreign images):
 ///
 ///   ImageHeader                     magic, version, endian tag, sizes
@@ -64,9 +64,11 @@ namespace pst {
 namespace image {
 
 /// First 8 bytes of every corpus image ("PSTIMG" + two format digits).
-inline constexpr char Magic[8] = {'P', 'S', 'T', 'I', 'M', 'G', '0', '1'};
-/// Bumped on any layout change; readers reject other versions.
-inline constexpr uint32_t FormatVersion = 1;
+inline constexpr char Magic[8] = {'P', 'S', 'T', 'I', 'M', 'G', '0', '2'};
+/// Bumped on any layout change; readers reject other versions. Version 2
+/// dropped version 1's three per-edge PST sections (EdgeRegion, EntryOf,
+/// ExitOf), which the tree now derives from NodeRegion and Regions.
+inline constexpr uint32_t FormatVersion = 2;
 /// Written as the native byte order; reads as 0x04030201 on a
 /// different-endian host, which is rejected (images are a same-arch cold
 /// start artifact, not an interchange format).
@@ -75,7 +77,7 @@ inline constexpr uint32_t EndianTag = 0x01020304;
 /// this, so mapped u64 arrays are naturally aligned.
 inline constexpr uint64_t SectionAlign = 8;
 
-/// The sections of a version-1 image, in file order. Per-function slices
+/// The sections of a version-2 image, in file order. Per-function slices
 /// are element ranges inside these shared global arrays.
 enum class SectionKind : uint32_t {
   FuncTable = 0, ///< FuncRecord per function (the offset table).
@@ -89,9 +91,6 @@ enum class SectionKind : uint32_t {
   EdgeDst,       ///< u32 (NodeId); per function E entries.
   Regions,       ///< SeseRegion (16 bytes); per function R entries.
   NodeRegion,    ///< u32 (RegionId); per function N entries.
-  EdgeRegion,    ///< u32 (RegionId); per function E entries.
-  EntryOf,       ///< u32 (RegionId); per function E entries.
-  ExitOf,        ///< u32 (RegionId); per function E entries.
   ChildOff,      ///< u32; per function R+1 local CSR offsets.
   ChildVal,      ///< u32 (RegionId); per function R-1 entries.
   ImmOff,        ///< u32; per function R+1 local CSR offsets.
@@ -136,7 +135,7 @@ static_assert(sizeof(SectionDesc) == 32, "section table layout is fixed");
 /// corpora whose concatenated arrays pass 4 Gi elements stay representable.
 struct FuncRecord {
   uint64_t NodeBase = 0;      ///< Into NodeRegion/ImmVal/NodeLabelOff.
-  uint64_t EdgeBase = 0;      ///< Into the six CSR edge arrays and EdgeRegion/EntryOf/ExitOf.
+  uint64_t EdgeBase = 0;      ///< Into the six CSR edge arrays.
   uint64_t CsrBase = 0;       ///< Into SuccOff/PredOff ((N+1)-sized rows).
   uint64_t RegionBase = 0;    ///< Into Regions.
   uint64_t RegionCsrBase = 0; ///< Into ChildOff/ImmOff ((R+1)-sized rows).
@@ -208,7 +207,7 @@ FunctionShape functionShape(const Cfg &G, const ProgramStructureTree &T,
 /// for byte at any chunk size.
 struct LayoutCursor {
   uint64_t Nodes = 0;     ///< Elements of NodeRegion/ImmVal/NodeLabelOff.
-  uint64_t Edges = 0;     ///< Elements of the six edge arrays + EdgeRegion/EntryOf/ExitOf.
+  uint64_t Edges = 0;     ///< Elements of the six CSR edge arrays.
   uint64_t Csr = 0;       ///< Elements of SuccOff/PredOff.
   uint64_t Regions = 0;   ///< Elements of Regions.
   uint64_t RegionCsr = 0; ///< Elements of ChildOff/ImmOff.

@@ -23,15 +23,14 @@ static_assert(alignof(SeseRegion) == alignof(uint32_t) &&
                   sizeof(SeseRegion) % alignof(uint32_t) == 0,
               "back-to-back arrays must stay aligned");
 
-size_t ProgramStructureTree::bufferBytes(size_t N, size_t E, size_t R) {
-  // Regions; NodeRegion + ImmVal; EdgeRegion + EntryOf + ExitOf; ChildOff
-  // + ImmOff (R + 1 each) + ChildVal (R - 1).
-  return R * sizeof(SeseRegion) +
-         (2 * N + 3 * E + 3 * R + 1) * sizeof(uint32_t);
+size_t ProgramStructureTree::bufferBytes(size_t N, size_t R) {
+  // Regions; NodeRegion + ImmVal; ChildOff + ImmOff (R + 1 each) +
+  // ChildVal (R - 1).
+  return R * sizeof(SeseRegion) + (2 * N + 3 * R + 1) * sizeof(uint32_t);
 }
 
-void ProgramStructureTree::allocate(uint32_t N, uint32_t E, uint32_t R) {
-  Storage = std::make_unique_for_overwrite<std::byte[]>(bufferBytes(N, E, R));
+void ProgramStructureTree::allocate(uint32_t N, uint32_t R) {
+  Storage = std::make_unique_for_overwrite<std::byte[]>(bufferBytes(N, R));
   std::byte *At = Storage.get();
   // Byte storage implicitly creates the arrays' objects; launder turns the
   // byte address into a pointer to them.
@@ -41,9 +40,6 @@ void ProgramStructureTree::allocate(uint32_t N, uint32_t E, uint32_t R) {
   };
   Take(Arr.Regions, R);
   Take(Arr.NodeRegion, N);
-  Take(Arr.EdgeRegion, E);
-  Take(Arr.EntryOf, E);
-  Take(Arr.ExitOf, E);
   Take(Arr.ChildOff, size_t(R) + 1);
   Take(Arr.ChildVal, size_t(R) - 1);
   Take(Arr.ImmOff, size_t(R) + 1);
@@ -58,10 +54,8 @@ ProgramStructureTree::ProgramStructureTree(const ProgramStructureTree &O)
   if (!O.Storage)
     return;
   const uint32_t N = static_cast<uint32_t>(O.Arr.NodeRegion.size());
-  const uint32_t E = static_cast<uint32_t>(O.Arr.EdgeRegion.size());
-  allocate(N, E, O.numRegions());
-  std::memcpy(Storage.get(), O.Storage.get(),
-              bufferBytes(N, E, O.numRegions()));
+  allocate(N, O.numRegions());
+  std::memcpy(Storage.get(), O.Storage.get(), bufferBytes(N, O.numRegions()));
 }
 
 ProgramStructureTree &
@@ -75,13 +69,10 @@ ProgramStructureTree::operator=(const ProgramStructureTree &O) {
 
 ProgramStructureTree ProgramStructureTree::adoptExternal(
     std::span<const SeseRegion> Regions, std::span<const RegionId> NodeRegion,
-    std::span<const RegionId> EdgeRegion, std::span<const RegionId> EntryOf,
-    std::span<const RegionId> ExitOf, std::span<const uint32_t> ChildOff,
-    std::span<const RegionId> ChildVal, std::span<const uint32_t> ImmOff,
-    std::span<const NodeId> ImmVal) {
+    std::span<const uint32_t> ChildOff, std::span<const RegionId> ChildVal,
+    std::span<const uint32_t> ImmOff, std::span<const NodeId> ImmVal) {
   ProgramStructureTree T;
-  T.Arr = {Regions, NodeRegion, EdgeRegion, EntryOf, ExitOf,
-           ChildOff, ChildVal,   ImmOff,     ImmVal};
+  T.Arr = {Regions, NodeRegion, ChildOff, ChildVal, ImmOff, ImmVal};
   T.External = true;
   return T;
 }
@@ -173,16 +164,13 @@ ProgramStructureTree::buildWithCycleEquiv(const CfgView &G,
     S.ClassEdges[S.ClassCursor[EdgeClass[E]]++] = E;
 
   ProgramStructureTree T;
-  T.allocate(NumN, NumE, NumRegions);
+  T.allocate(NumN, NumRegions);
   // The tree owns these arrays; they are const only to readers.
   auto Writable = []<class X>(std::span<const X> Span) {
     return const_cast<X *>(Span.data());
   };
   SeseRegion *Regions = Writable(T.Arr.Regions);
   RegionId *NodeRegion = Writable(T.Arr.NodeRegion);
-  RegionId *EdgeRegion = Writable(T.Arr.EdgeRegion);
-  RegionId *EntryOf = Writable(T.Arr.EntryOf);
-  RegionId *ExitOf = Writable(T.Arr.ExitOf);
   uint32_t *ChildOff = Writable(T.Arr.ChildOff);
   RegionId *ChildVal = Writable(T.Arr.ChildVal);
   uint32_t *ImmOff = Writable(T.Arr.ImmOff);
@@ -190,8 +178,8 @@ ProgramStructureTree::buildWithCycleEquiv(const CfgView &G,
 
   S.Paired.resize(NumRegions);
   S.Paired[0] = SeseRegion{}; // Synthetic root, id 0 in both numberings.
-  std::fill_n(EntryOf, NumE, InvalidRegion);
-  std::fill_n(ExitOf, NumE, InvalidRegion);
+  S.EntryOf.assign(NumE, InvalidRegion);
+  S.ExitOf.assign(NumE, InvalidRegion);
   RegionId NextPaired = 1;
   for (uint32_t C = 0; C < NumClasses; ++C) {
     EdgeId *Begin = S.ClassEdges.data() + S.ClassOff[C];
@@ -206,21 +194,21 @@ ProgramStructureTree::buildWithCycleEquiv(const CfgView &G,
       S.Paired[R] = SeseRegion{I[0], I[1], InvalidRegion, 0};
       // Only the first region opened by an edge is canonical for it; a
       // chain a,b,c yields (a,b) and (b,c) -- never (a,c).
-      EntryOf[I[0]] = R;
-      ExitOf[I[1]] = R;
+      S.EntryOf[I[0]] = R;
+      S.ExitOf[I[1]] = R;
     }
   }
   assert(NextPaired == NumRegions && "region count mismatch");
 
-  // -- Pass 3: replay the same DFS, assigning every traversed edge and
-  // every discovered node its innermost region, and wiring up parents.
+  // -- Pass 3: replay the same DFS, assigning every discovered node its
+  // innermost region (the region current when the edge reaching it is
+  // traversed), and wiring up parents.
   // Exiting a region pops to that region's parent (already known: the
   // entry edge dominates the exit edge, so it was traversed first);
   // entering a region records the current region as its parent. The
   // sequence of entered regions is kept: its per-parent subsequences are
   // chronological, which is exactly the child order the tree exposes.
   std::fill_n(NodeRegion, NumN, T.root());
-  std::fill_n(EdgeRegion, NumE, T.root());
   S.EntrySeq.clear();
   S.EntrySeq.reserve(NumRegions - 1);
   {
@@ -237,15 +225,14 @@ ProgramStructureTree::buildWithCycleEquiv(const CfgView &G,
       }
       EdgeId E = Succs[Next++];
       RegionId Cur = NodeRegion[V];
-      if (RegionId Exited = ExitOf[E]; Exited != InvalidRegion)
+      if (RegionId Exited = S.ExitOf[E]; Exited != InvalidRegion)
         Cur = S.Paired[Exited].Parent;
-      if (RegionId Entered = EntryOf[E]; Entered != InvalidRegion) {
+      if (RegionId Entered = S.EntryOf[E]; Entered != InvalidRegion) {
         S.Paired[Entered].Parent = Cur;
         S.Paired[Entered].Depth = S.Paired[Cur].Depth + 1;
         S.EntrySeq.push_back(Entered);
         Cur = Entered;
       }
-      EdgeRegion[E] = Cur;
       NodeId W = G.target(E);
       if (!S.Visited[W]) {
         S.Visited[W] = 1;
@@ -273,11 +260,8 @@ ProgramStructureTree::buildWithCycleEquiv(const CfgView &G,
     S.RegionCursor[R] = S.PreorderId[R] + 1;
   }
   const RegionId *Id = S.PreorderId.data();
-  for (EdgeId E = 0; E < NumE; ++E)
-    EdgeRegion[E] = Id[EdgeRegion[E]];
 
-  // Region table in preorder, with the entry/exit maps (only a region's
-  // own two edges hold its id) and the per-parent child counts; then the
+  // Region table in preorder, with the per-parent child counts; then the
   // children CSR, scattered in id order (siblings' preorder ids ascend in
   // entry order).
   std::fill_n(ChildOff, NumRegions + 1, 0);
@@ -286,8 +270,6 @@ ProgramStructureTree::buildWithCycleEquiv(const CfgView &G,
     SeseRegion Reg = S.Paired[R];
     Reg.Parent = Id[Reg.Parent];
     ++ChildOff[Reg.Parent + 1];
-    EntryOf[Reg.EntryEdge] = Id[R];
-    ExitOf[Reg.ExitEdge] = Id[R];
     new (&Regions[Id[R]]) SeseRegion(Reg);
   }
   for (uint32_t I = 1; I <= NumRegions; ++I)

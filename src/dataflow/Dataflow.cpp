@@ -61,12 +61,6 @@ DataflowSolution pst::solveIterative(const CfgView &G,
   return S;
 }
 
-BitVectorProblem pst::reverseProblem(const BitVectorProblem &P) {
-  // Node ids are preserved by reverseCfg, so the transfer table is reused
-  // verbatim; only the interpretation (In<->Out) flips at the caller.
-  return P;
-}
-
 namespace {
 
 /// Iteratively solves one collapsed region body given the value on the

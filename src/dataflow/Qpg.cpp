@@ -65,7 +65,7 @@ Qpg pst::buildQpg(const CfgView &G, const ProgramStructureTree &T,
       // bypassable region).
       EdgeId E = E1;
       while (true) {
-        RegionId R = T.regionEnteredBy(E);
+        RegionId R = T.regionEnteredBy(G, E);
         if (R == InvalidRegion || Opaque[R])
           break;
         E = T.region(R).ExitEdge;
@@ -136,7 +136,7 @@ EdgeSolution pst::solveOnQpg(const CfgView &G, const ProgramStructureTree &T,
   // Bucket CFG edges by their innermost region for interior fill-in.
   std::vector<std::vector<EdgeId>> RegionEdges(T.numRegions());
   for (EdgeId E = 0; E < G.numEdges(); ++E)
-    RegionEdges[T.regionOfEdge(E)].push_back(E);
+    RegionEdges[T.regionOfEdge(G, E)].push_back(E);
 
   // Recursively assigns Value to every edge in R's subtree.
   auto FillRegion = [&](RegionId R, const BitVector &Value) {
@@ -161,7 +161,7 @@ EdgeSolution pst::solveOnQpg(const CfgView &G, const ProgramStructureTree &T,
     S.EdgeValue[E] = Value;
     Known[E] = true;
     while (true) {
-      RegionId R = T.regionEnteredBy(E);
+      RegionId R = T.regionEnteredBy(G, E);
       if (R == InvalidRegion || Opaque[R])
         break;
       FillRegion(R, Value);

@@ -58,12 +58,6 @@ const char *pst::image::sectionName(SectionKind K) {
     return "Regions";
   case SectionKind::NodeRegion:
     return "NodeRegion";
-  case SectionKind::EdgeRegion:
-    return "EdgeRegion";
-  case SectionKind::EntryOf:
-    return "EntryOf";
-  case SectionKind::ExitOf:
-    return "ExitOf";
   case SectionKind::ChildOff:
     return "ChildOff";
   case SectionKind::ChildVal:
@@ -152,7 +146,7 @@ uint64_t recBase(const FuncRecord &F, SectionKind K) {
   case SectionKind::StrTab:
     return F.NameOff;
   default:
-    return F.EdgeBase; // Six CSR edge arrays + EdgeRegion/EntryOf/ExitOf.
+    return F.EdgeBase; // The six CSR edge arrays.
   }
 }
 
@@ -197,9 +191,6 @@ void fillFunctionSlices(uint8_t *const Sec[NumSections],
   Copy(SectionKind::Regions, F.RegionBase, sizeof(SeseRegion),
        T.regionTable().data(), R);
   Copy32(SectionKind::NodeRegion, F.NodeBase, T.nodeRegionTable().data(), N);
-  Copy32(SectionKind::EdgeRegion, F.EdgeBase, T.edgeRegionTable().data(), E);
-  Copy32(SectionKind::EntryOf, F.EdgeBase, T.entryOfTable().data(), E);
-  Copy32(SectionKind::ExitOf, F.EdgeBase, T.exitOfTable().data(), E);
   Copy32(SectionKind::ChildOff, F.RegionCsrBase, T.childOffTable().data(),
          R + 1);
   Copy32(SectionKind::ChildVal, F.ChildBase, T.childValTable().data(), R - 1);
@@ -276,9 +267,7 @@ void pst::image::finalizeSectionLayout(uint64_t NumFunctions,
   SB[uint32_t(SectionKind::PredOff)] = Cur.Csr * 4;
   for (SectionKind K : {SectionKind::SuccEdge, SectionKind::SuccTo,
                         SectionKind::PredEdge, SectionKind::PredFrom,
-                        SectionKind::EdgeSrc, SectionKind::EdgeDst,
-                        SectionKind::EdgeRegion, SectionKind::EntryOf,
-                        SectionKind::ExitOf})
+                        SectionKind::EdgeSrc, SectionKind::EdgeDst})
     SB[uint32_t(K)] = Cur.Edges * 4;
   SB[uint32_t(SectionKind::Regions)] = Cur.Regions * sizeof(SeseRegion);
   SB[uint32_t(SectionKind::NodeRegion)] = Cur.Nodes * 4;
@@ -433,6 +422,18 @@ bool fail(std::string *Error, std::string Msg) {
   return false;
 }
 
+/// The header diagnostics shared by \c CorpusImage::attach and
+/// \c verifyImageFile, naming this reader's magic and version.
+std::string badMagicMessage() {
+  return "not a corpus image: bad magic (expected \"" +
+         std::string(Magic, sizeof(Magic)) + "\")";
+}
+std::string sectionCountMessage(uint32_t Count) {
+  return "corpus image has " + std::to_string(Count) +
+         " sections; format version " + std::to_string(FormatVersion) +
+         " defines " + std::to_string(NumSections);
+}
+
 } // namespace
 
 /// Structural validation over the mapped bytes: everything that can be
@@ -445,7 +446,7 @@ bool CorpusImage::attach(std::string *Error) {
                            "-byte header");
   Hdr = reinterpret_cast<const ImageHeader *>(Base);
   if (std::memcmp(Hdr->MagicBytes, Magic, sizeof(Magic)) != 0)
-    return fail(Error, "not a corpus image: bad magic (expected \"PSTIMG01\")");
+    return fail(Error, badMagicMessage());
   if (Hdr->Endian != EndianTag) {
     char Buf[64];
     std::snprintf(Buf, sizeof(Buf), "0x%08x", Hdr->Endian);
@@ -470,10 +471,7 @@ bool CorpusImage::attach(std::string *Error) {
                            " bytes but the header records " +
                            std::to_string(Hdr->FileBytes));
   if (Hdr->SectionCount != NumSections)
-    return fail(Error, "corpus image has " +
-                           std::to_string(Hdr->SectionCount) +
-                           " sections; format version 1 defines " +
-                           std::to_string(NumSections));
+    return fail(Error, sectionCountMessage(Hdr->SectionCount));
   uint64_t TableEnd =
       sizeof(ImageHeader) + uint64_t(NumSections) * sizeof(SectionDesc);
   if (TableEnd > Bytes)
@@ -522,8 +520,7 @@ bool CorpusImage::attach(std::string *Error) {
   const uint64_t StrTabBytes = Sections[uint32_t(SectionKind::StrTab)].Bytes;
   for (SectionKind K : {SectionKind::SuccTo, SectionKind::PredEdge,
                         SectionKind::PredFrom, SectionKind::EdgeSrc,
-                        SectionKind::EdgeDst, SectionKind::EdgeRegion,
-                        SectionKind::EntryOf, SectionKind::ExitOf})
+                        SectionKind::EdgeDst})
     if (Elems(K) != EdgeElems)
       return fail(Error, std::string("corpus image per-edge sections "
                                      "disagree in size (") +
@@ -724,9 +721,6 @@ ProgramStructureTree CorpusImage::pst(uint64_t I) const {
       F.NumRegions);
   return ProgramStructureTree::adoptExternal(
       Regions, At32(SectionKind::NodeRegion, F.NodeBase, F.NumNodes),
-      At32(SectionKind::EdgeRegion, F.EdgeBase, F.NumEdges),
-      At32(SectionKind::EntryOf, F.EdgeBase, F.NumEdges),
-      At32(SectionKind::ExitOf, F.EdgeBase, F.NumEdges),
       At32(SectionKind::ChildOff, F.RegionCsrBase, uint64_t(F.NumRegions) + 1),
       At32(SectionKind::ChildVal, F.ChildBase, uint64_t(F.NumRegions) - 1),
       At32(SectionKind::ImmOff, F.RegionCsrBase, uint64_t(F.NumRegions) + 1),
@@ -1205,7 +1199,7 @@ bool pst::verifyImageFile(const std::string &Path, std::string *Error) {
                            " bytes is smaller than the " +
                            std::to_string(sizeof(H)) + "-byte header");
   if (std::memcmp(H.MagicBytes, Magic, sizeof(Magic)) != 0)
-    return fail(Error, "not a corpus image: bad magic (expected \"PSTIMG01\")");
+    return fail(Error, badMagicMessage());
   if (H.Endian != EndianTag)
     return fail(Error, "corpus image endianness mismatch: the image was "
                        "written on a different-endian host");
@@ -1225,9 +1219,7 @@ bool pst::verifyImageFile(const std::string &Path, std::string *Error) {
                            " bytes but the header records " +
                            std::to_string(H.FileBytes));
   if (H.SectionCount != NumSections)
-    return fail(Error, "corpus image has " + std::to_string(H.SectionCount) +
-                           " sections; format version 1 defines " +
-                           std::to_string(NumSections));
+    return fail(Error, sectionCountMessage(H.SectionCount));
 
   const uint64_t TableEnd =
       sizeof(ImageHeader) + uint64_t(NumSections) * sizeof(SectionDesc);

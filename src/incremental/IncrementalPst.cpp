@@ -355,8 +355,8 @@ bool IncrementalPst::rebuildSubtree(RegionId D,
                                    Regions[D].ExitEdge, &DG.deadEdges());
   if (Sub.BoundaryViolation)
     return false;
-  ProgramStructureTree SubT = ProgramStructureTree::build(
-      CfgView::build(Sub.Graph, ViewScratch), BuildScratch);
+  const CfgView SubV = CfgView::build(Sub.Graph, ViewScratch);
+  ProgramStructureTree SubT = ProgramStructureTree::build(SubV, BuildScratch);
 
   ++Stats.SubtreesRebuilt;
   Stats.NodesReprocessed += Body.size();
@@ -369,7 +369,7 @@ bool IncrementalPst::rebuildSubtree(RegionId D,
 
   // The synthetic boundary edges are always cycle equivalent in the
   // sub-CFG, so the entry edge opens at least one region.
-  RegionId R0 = SubT.regionEnteredBy(Sub.LocalEntryEdge);
+  RegionId R0 = SubT.regionEnteredBy(SubV, Sub.LocalEntryEdge);
   assert(R0 != InvalidRegion && "boundary edges must open a region");
   // D survives iff the boundary class stayed {start, end}: the region the
   // start edge opens then spans the whole body.
@@ -450,15 +450,15 @@ bool IncrementalPst::rebuildSubtree(RegionId D,
       // D's entry edge: interior-facing slots update (it now opens D's
       // replacement when D dissolved); what it closes belongs to the
       // untouched exterior.
-      EntryOf[E] = MapOr(SubT.regionEnteredBy(L));
-      EdgeRegion[E] = Map[SubT.regionOfEdge(L)];
+      EntryOf[E] = MapOr(SubT.regionEnteredBy(SubV, L));
+      EdgeRegion[E] = Map[SubT.regionOfEdge(SubV, L)];
     } else if (L == Sub.LocalExitEdge) {
       // D's exit edge: symmetric — only what it closes is interior.
-      ExitOf[E] = MapOr(SubT.regionExitedBy(L));
+      ExitOf[E] = MapOr(SubT.regionExitedBy(SubV, L));
     } else {
-      EdgeRegion[E] = Map[SubT.regionOfEdge(L)];
-      EntryOf[E] = MapOr(SubT.regionEnteredBy(L));
-      ExitOf[E] = MapOr(SubT.regionExitedBy(L));
+      EdgeRegion[E] = Map[SubT.regionOfEdge(SubV, L)];
+      EntryOf[E] = MapOr(SubT.regionEnteredBy(SubV, L));
+      ExitOf[E] = MapOr(SubT.regionExitedBy(SubV, L));
     }
   }
   return true;
@@ -469,8 +469,8 @@ void IncrementalPst::fullRebuild() {
   PST_SPAN_ARG("incremental.full_rebuild", "batch", Stats.Commits);
   std::vector<EdgeId> GlobalOf;
   Cfg M = DG.materialize(&GlobalOf);
-  ProgramStructureTree T = ProgramStructureTree::build(
-      CfgView::build(M, ViewScratch), BuildScratch);
+  const CfgView V = CfgView::build(M, ViewScratch);
+  ProgramStructureTree T = ProgramStructureTree::build(V, BuildScratch);
 
   Regions.assign(T.numRegions(), Slot{});
   FreeSlots.clear();
@@ -500,9 +500,9 @@ void IncrementalPst::fullRebuild() {
   ExitOf.assign(NumE, InvalidRegion);
   for (EdgeId C = 0; C < M.numEdges(); ++C) {
     EdgeId E = GlobalOf[C];
-    EdgeRegion[E] = T.regionOfEdge(C);
-    EntryOf[E] = T.regionEnteredBy(C);
-    ExitOf[E] = T.regionExitedBy(C);
+    EdgeRegion[E] = T.regionOfEdge(V, C);
+    EntryOf[E] = T.regionEnteredBy(V, C);
+    ExitOf[E] = T.regionExitedBy(V, C);
   }
 
   DirtySet.clear();
@@ -562,7 +562,8 @@ bool IncrementalPst::equalsFromScratch(std::string *Why) const {
 
   std::vector<EdgeId> GlobalOf;
   Cfg M = DG.materialize(&GlobalOf);
-  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(M));
+  FrozenCfg V(M);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
 
   if (T.numRegions() != NumLive)
     return Fail("region count: from-scratch " +
@@ -596,9 +597,9 @@ bool IncrementalPst::equalsFromScratch(std::string *Why) const {
       return Fail("node region mismatch at node " + std::to_string(N));
   for (EdgeId C = 0; C < M.numEdges(); ++C) {
     EdgeId E = GlobalOf[C];
-    if (EdgeRegion[E] != IncOf[T.regionOfEdge(C)])
+    if (EdgeRegion[E] != IncOf[T.regionOfEdge(V, C)])
       return Fail("edge region mismatch at edge " + std::to_string(E));
-    RegionId TE = T.regionEnteredBy(C), TX = T.regionExitedBy(C);
+    RegionId TE = T.regionEnteredBy(V, C), TX = T.regionExitedBy(V, C);
     if (EntryOf[E] != (TE == InvalidRegion ? InvalidRegion : IncOf[TE]))
       return Fail("entered-by mismatch at edge " + std::to_string(E));
     if (ExitOf[E] != (TX == InvalidRegion ? InvalidRegion : IncOf[TX]))

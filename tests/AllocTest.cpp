@@ -187,8 +187,7 @@ TEST(AllocGate, CopyOfBuiltTreeMakesOneAndAdoptedCopyNone) {
   for (size_t I = 0; I < Trees.size(); ++I) {
     const ProgramStructureTree &T = Trees[I];
     ProgramStructureTree View = ProgramStructureTree::adoptExternal(
-        T.regionTable(), T.nodeRegionTable(), T.edgeRegionTable(),
-        T.entryOfTable(), T.exitOfTable(), T.childOffTable(),
+        T.regionTable(), T.nodeRegionTable(), T.childOffTable(),
         T.childValTable(), T.immOffTable(), T.immValTable());
     uint64_t A0 = allocs();
     ProgramStructureTree C(T);

@@ -143,10 +143,6 @@ void expectFusedRunMatches(const Cfg &G, PstScratch &S,
   expectTableEq(A.Pst.regionTable(), T.regionTable(), Ctx + " regions");
   expectTableEq(A.Pst.nodeRegionTable(), T.nodeRegionTable(),
                 Ctx + " node regions");
-  expectTableEq(A.Pst.edgeRegionTable(), T.edgeRegionTable(),
-                Ctx + " edge regions");
-  expectTableEq(A.Pst.entryOfTable(), T.entryOfTable(), Ctx + " entry-of");
-  expectTableEq(A.Pst.exitOfTable(), T.exitOfTable(), Ctx + " exit-of");
   expectTableEq(A.Pst.childOffTable(), T.childOffTable(), Ctx + " child off");
   expectTableEq(A.Pst.childValTable(), T.childValTable(), Ctx + " child val");
   expectTableEq(A.Pst.immOffTable(), T.immOffTable(), Ctx + " imm off");

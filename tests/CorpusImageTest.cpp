@@ -2,7 +2,7 @@
 //
 // Part of the PST library (see pst/image/CorpusImage.h for the reference).
 //
-// Four layers of coverage for the corpus image:
+// Five layers of coverage for the corpus image:
 //  1. Round-trip byte identity: build -> decode -> rebuild reproduces the
 //     image byte for byte over the full 254-procedure paper corpus, and a
 //     file save/mmap cycle preserves every accessor.
@@ -14,7 +14,10 @@
 //     all dominator builders, all four dataflow solvers, phi placement,
 //     the region profiler) produces output identical to the in-memory
 //     pipeline.
-//  4. 64-bit layout: the pure offset-table computation is exercised past
+//  4. Derived per-edge maps: regionOfEdge / regionEnteredBy /
+//     regionExitedBy, computed from endpoints, agree with the region
+//     table and the regions' node sets on built and mapped trees.
+//  5. 64-bit layout: the pure offset-table computation is exercised past
 //     the 32-bit byte boundary without materializing any arrays.
 //
 //===----------------------------------------------------------------------===//
@@ -31,6 +34,7 @@
 #include "pst/dataflow/Qpg.h"
 #include "pst/dataflow/Seg.h"
 #include "pst/dom/Dominators.h"
+#include "pst/graph/CfgAlgorithms.h"
 #include "pst/prof/RegionProfile.h"
 #include "pst/runtime/BatchAnalyzer.h"
 #include "pst/ssa/PhiPlacement.h"
@@ -116,17 +120,14 @@ TEST(CorpusImage, FileSaveAndMapPreservesEveryAccessor) {
 
   for (uint64_t I = 0; I < Img.numFunctions(); ++I) {
     const Cfg &G = *H.Graphs[I];
-    ProgramStructureTree Direct = ProgramStructureTree::build(FrozenCfg(G));
+    FrozenCfg DV(G);
+    ProgramStructureTree Direct = ProgramStructureTree::build(DV);
     ProgramStructureTree Mapped = Img.pst(I);
     EXPECT_TRUE(Mapped.isExternal());
     EXPECT_FALSE(Direct.isExternal());
     expectSpanEq(Direct.regionTable(), Mapped.regionTable(), "regions");
     expectSpanEq(Direct.nodeRegionTable(), Mapped.nodeRegionTable(),
                  "node regions");
-    expectSpanEq(Direct.edgeRegionTable(), Mapped.edgeRegionTable(),
-                 "edge regions");
-    expectSpanEq(Direct.entryOfTable(), Mapped.entryOfTable(), "entry-of");
-    expectSpanEq(Direct.exitOfTable(), Mapped.exitOfTable(), "exit-of");
     expectSpanEq(Direct.childOffTable(), Mapped.childOffTable(), "child off");
     expectSpanEq(Direct.childValTable(), Mapped.childValTable(), "child val");
     expectSpanEq(Direct.immOffTable(), Mapped.immOffTable(), "imm off");
@@ -143,6 +144,16 @@ TEST(CorpusImage, FileSaveAndMapPreservesEveryAccessor) {
       ASSERT_TRUE(std::ranges::equal(MV.predEdges(N), G.predEdges(N)))
           << H.Names[I] << " node " << N;
     }
+    // The per-edge maps are derived from the endpoints, so the mapped tree
+    // over the mapped view must answer them as the built one does.
+    for (EdgeId E = 0; E < G.numEdges(); ++E) {
+      ASSERT_EQ(Mapped.regionOfEdge(MV, E), Direct.regionOfEdge(DV, E))
+          << H.Names[I] << " edge " << E;
+      ASSERT_EQ(Mapped.regionEnteredBy(MV, E), Direct.regionEnteredBy(DV, E))
+          << H.Names[I] << " edge " << E;
+      ASSERT_EQ(Mapped.regionExitedBy(MV, E), Direct.regionExitedBy(DV, E))
+          << H.Names[I] << " edge " << E;
+    }
   }
   std::remove(Path.c_str());
 }
@@ -158,7 +169,7 @@ std::vector<uint8_t> smallImage() {
   return buildCorpusImage({&P, 1}, {&Name, 1});
 }
 
-void expectRejected(std::vector<uint8_t> Bytes, const char *Needle) {
+void expectRejected(std::vector<uint8_t> Bytes, const std::string &Needle) {
   std::string Error;
   CorpusImage Img = CorpusImage::fromBytes(std::move(Bytes), &Error);
   EXPECT_FALSE(Img.valid());
@@ -190,16 +201,53 @@ TEST(CorpusImageRejection, WrongVersionWrongEndiannessBadMagic) {
   std::vector<uint8_t> V = Bytes;
   uint32_t BadVersion = image::FormatVersion + 7;
   std::memcpy(V.data() + 8, &BadVersion, 4);
-  expectRejected(std::move(V), "format version");
+  expectRejected(std::move(V), "format version " + std::to_string(BadVersion) +
+                                   " (this reader understands version " +
+                                   std::to_string(image::FormatVersion) + ")");
 
   std::vector<uint8_t> E = Bytes;
   uint32_t Swapped = 0x04030201;
   std::memcpy(E.data() + 12, &Swapped, 4);
   expectRejected(std::move(E), "endianness");
 
+  // The diagnostics name this reader's magic and version, not a stale one.
+  const std::string CurrentMagic(image::Magic, sizeof(image::Magic));
   std::vector<uint8_t> M = Bytes;
   M[0] = 'X';
-  expectRejected(std::move(M), "bad magic");
+  expectRejected(std::move(M), "bad magic (expected \"" + CurrentMagic + "\")");
+
+  // Section count at offset 32 (after FileBytes and NumFunctions).
+  std::vector<uint8_t> S = Bytes;
+  uint32_t BadCount = image::NumSections + 3;
+  std::memcpy(S.data() + 32, &BadCount, 4);
+  expectRejected(std::move(S),
+                 std::to_string(BadCount) + " sections; format version " +
+                     std::to_string(image::FormatVersion) + " defines " +
+                     std::to_string(image::NumSections));
+}
+
+// A version-1 image (three more per-edge PST sections, magic "PSTIMG01")
+// is rejected with a diagnostic by both the mapper and the streaming
+// verifier.
+TEST(CorpusImageRejection, VersionOneImage) {
+  ASSERT_EQ(image::FormatVersion, 2u);
+  ASSERT_EQ(image::NumSections, 17u);
+  std::vector<uint8_t> Bytes = smallImage();
+  std::memcpy(Bytes.data(), "PSTIMG01", 8);
+  uint32_t One = 1, TwentySections = 20;
+  std::memcpy(Bytes.data() + 8, &One, 4);
+  std::memcpy(Bytes.data() + 32, &TwentySections, 4);
+  const std::string Needle = "bad magic (expected \"" +
+                             std::string(image::Magic, sizeof(image::Magic)) +
+                             "\")";
+  expectRejected(Bytes, Needle);
+
+  std::string Path = ::testing::TempDir() + "corpus_image_v1.img";
+  std::string Error;
+  ASSERT_TRUE(writeImageFile(Path, Bytes, &Error)) << Error;
+  EXPECT_FALSE(verifyImageFile(Path, &Error));
+  EXPECT_NE(Error.find(Needle), std::string::npos) << Error;
+  std::remove(Path.c_str());
 }
 
 TEST(CorpusImageRejection, CorruptedPayloadFailsVerifyWithSectionName) {
@@ -421,6 +469,117 @@ TEST(CorpusImageBatch, ImageAnalyzeCorpusMatchesDirectPath) {
 }
 
 //===----------------------------------------------------------------------===//
+// Derived per-edge region maps
+//===----------------------------------------------------------------------===//
+
+/// Checks the per-edge accessors of \p T (the PST of the graph \p V views)
+/// against the region table and the regions' node sets alone: an edge
+/// opens / closes exactly the regions whose entry / exit edge it is, and
+/// it lies in the innermost region whose nodes include both endpoints,
+/// except that an entry edge lies in the region it opens.
+void expectDerivedEdgeMaps(const CfgView &V, const ProgramStructureTree &T,
+                           const std::string &Ctx) {
+  const uint32_t NumE = V.numEdges();
+  std::vector<RegionId> Entered(NumE, InvalidRegion);
+  std::vector<RegionId> Exited(NumE, InvalidRegion);
+  std::vector<std::vector<bool>> Holds(T.numRegions(),
+                                       std::vector<bool>(V.numNodes()));
+  for (RegionId R = 0; R < T.numRegions(); ++R) {
+    for (NodeId N : T.allNodes(R))
+      Holds[R][N] = true;
+    if (R == T.root())
+      continue;
+    ASSERT_EQ(Entered[T.region(R).EntryEdge], InvalidRegion) << Ctx;
+    ASSERT_EQ(Exited[T.region(R).ExitEdge], InvalidRegion) << Ctx;
+    Entered[T.region(R).EntryEdge] = R;
+    Exited[T.region(R).ExitEdge] = R;
+  }
+  for (EdgeId E = 0; E < NumE; ++E) {
+    const NodeId Src = V.source(E), Dst = V.target(E);
+    RegionId Innermost = T.root();
+    for (RegionId R = 1; R < T.numRegions(); ++R)
+      if (Holds[R][Src] && Holds[R][Dst] &&
+          T.region(R).Depth > T.region(Innermost).Depth)
+        Innermost = R;
+    const RegionId Expected =
+        Entered[E] != InvalidRegion ? Entered[E] : Innermost;
+    EXPECT_EQ(T.regionEnteredBy(V, E), Entered[E]) << Ctx << " edge " << E;
+    EXPECT_EQ(T.regionExitedBy(V, E), Exited[E]) << Ctx << " edge " << E;
+    EXPECT_EQ(T.regionOfEdge(V, E), Expected) << Ctx << " edge " << E;
+  }
+}
+
+/// Runs \c expectDerivedEdgeMaps on \p G's built tree and on the same tree
+/// adopted from a one-function image, over the image's own view.
+void expectDerivedEdgeMapsBuiltAndMapped(const Cfg &G, const std::string &Ctx) {
+  ASSERT_TRUE(validateCfg(G)) << Ctx;
+  FrozenCfg V(G);
+  expectDerivedEdgeMaps(V, ProgramStructureTree::build(V), Ctx + " built");
+
+  const Cfg *P = &G;
+  std::string Error;
+  CorpusImage Img =
+      CorpusImage::fromBytes(buildCorpusImage({&P, 1}), &Error);
+  ASSERT_TRUE(Img.valid()) << Ctx << ": " << Error;
+  ProgramStructureTree Mapped = Img.pst(0);
+  ASSERT_TRUE(Mapped.isExternal());
+  expectDerivedEdgeMaps(Img.cfg(0), Mapped, Ctx + " mapped");
+}
+
+class DerivedEdgeMapsTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DerivedEdgeMapsTest, MatchRegionTableAndNodeSets) {
+  const uint64_t Seed = GetParam();
+  const std::string Ctx = "seed " + std::to_string(Seed);
+  Rng R(Seed * 977 + 3);
+  RandomCfgOptions Opts;
+  Opts.NumNodes = 4 + static_cast<uint32_t>(R.nextBelow(24));
+
+  // Irreducible: many extra edges, backwards ones allowed.
+  RandomCfgOptions Irr = Opts;
+  Irr.NumExtraEdges = Opts.NumNodes + static_cast<uint32_t>(R.nextBelow(16));
+  expectDerivedEdgeMapsBuiltAndMapped(randomBackboneCfg(R, Irr),
+                                      Ctx + " irreducible");
+  expectDerivedEdgeMapsBuiltAndMapped(irreducibleCfg(1 + Seed % 4),
+                                      Ctx + " irreducible triangles");
+
+  // Self-loop-heavy and parallel-edge-heavy.
+  RandomCfgOptions Loops = Opts;
+  Loops.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(20));
+  Loops.SelfLoopProb = 0.4;
+  expectDerivedEdgeMapsBuiltAndMapped(randomBackboneCfg(R, Loops),
+                                      Ctx + " self-loop-heavy");
+  RandomCfgOptions Parallel = Opts;
+  Parallel.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(20));
+  Parallel.ParallelProb = 0.5;
+  expectDerivedEdgeMapsBuiltAndMapped(randomBackboneCfg(R, Parallel),
+                                      Ctx + " parallel-edge-heavy");
+
+  // Deep nesting: entry edges that open several nested regions' chains
+  // and exit edges that close one region and open the next.
+  expectDerivedEdgeMapsBuiltAndMapped(
+      nestedWhileCfg(1 + Seed % 12, 1 + Seed % 3), Ctx + " nested while");
+  expectDerivedEdgeMapsBuiltAndMapped(nestedRepeatUntilCfg(1 + Seed % 10),
+                                      Ctx + " nested repeat-until");
+  expectDerivedEdgeMapsBuiltAndMapped(diamondLadderCfg(1 + Seed % 6),
+                                      Ctx + " diamond ladder");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DerivedEdgeMapsTest,
+                         ::testing::Range<uint64_t>(0, 60));
+
+TEST(DerivedEdgeMaps, PaperCorpusBuiltAndMapped) {
+  CorpusHandles H(/*Seed=*/1);
+  CorpusImage Img = CorpusImage::fromBytes(buildCorpusImage(H.Graphs));
+  ASSERT_TRUE(Img.valid());
+  for (uint64_t I = 0; I < Img.numFunctions(); ++I) {
+    FrozenCfg V(*H.Graphs[I]);
+    expectDerivedEdgeMaps(V, ProgramStructureTree::build(V), H.Names[I]);
+    expectDerivedEdgeMaps(Img.cfg(I), Img.pst(I), H.Names[I] + " mapped");
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Adopted-tree storage semantics
 //===----------------------------------------------------------------------===//
 
@@ -438,8 +597,7 @@ TEST(ProgramStructureTreeStorage, CopySemanticsOwnedAndAdopted) {
   // Adopting aliases the owner's arrays; copying the adopted tree keeps
   // aliasing the same external storage.
   ProgramStructureTree Adopted = ProgramStructureTree::adoptExternal(
-      Owned.regionTable(), Owned.nodeRegionTable(), Owned.edgeRegionTable(),
-      Owned.entryOfTable(), Owned.exitOfTable(), Owned.childOffTable(),
+      Owned.regionTable(), Owned.nodeRegionTable(), Owned.childOffTable(),
       Owned.childValTable(), Owned.immOffTable(), Owned.immValTable());
   EXPECT_TRUE(Adopted.isExternal());
   EXPECT_EQ(Adopted.regionTable().data(), Owned.regionTable().data());

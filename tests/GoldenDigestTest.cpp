@@ -140,7 +140,8 @@ std::vector<Procedure> gotoHeavyProcedures() {
 /// pair, its depth, its children's pairs in child order and its immediate
 /// nodes; per edge, the pair of its innermost region. Two trees that differ
 /// only in how their regions are numbered digest identically.
-void addTreeStructure(Digest &Dg, const ProgramStructureTree &T) {
+void addTreeStructure(Digest &Dg, const CfgView &V,
+                      const ProgramStructureTree &T) {
   auto Pair = [&](RegionId R) {
     return std::pair(T.region(R).EntryEdge, T.region(R).ExitEdge);
   };
@@ -170,8 +171,8 @@ void addTreeStructure(Digest &Dg, const ProgramStructureTree &T) {
     std::span<const NodeId> Imm = T.immediateNodes(R);
     Dg.add(std::vector<uint32_t>(Imm.begin(), Imm.end()));
   }
-  for (EdgeId E = 0; E < T.edgeRegionTable().size(); ++E)
-    AddPair(T.regionOfEdge(E));
+  for (EdgeId E = 0; E < V.numEdges(); ++E)
+    AddPair(T.regionOfEdge(V, E));
 }
 
 /// Runs every stage over \p Procs and returns one digest per stage name.
@@ -199,7 +200,7 @@ digestStages(const std::vector<Procedure> &Procs) {
     // and the divide-and-conquer dominator tree built from it.
     ProgramStructureTree T = ProgramStructureTree::build(V, PB);
     D["pst.format"].add(formatPst(G, T));
-    addTreeStructure(D["pst.structure"], T);
+    addTreeStructure(D["pst.structure"], V, T);
     DomTree PstDom = buildDominatorsViaPst(V, T);
 
     // Control regions: the linear implicit-T(S) algorithm, the explicit-

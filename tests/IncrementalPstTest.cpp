@@ -111,9 +111,10 @@ TEST(DynamicCfg, MaterializeMapsLiveEdges) {
 
 TEST(SubCfgExtraction, Figure1LoopBody) {
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
+  FrozenCfg V(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
   // The loop region entered by edge 5 with body nodes {5, 6} (head, body).
-  RegionId Loop = T.regionEnteredBy(5);
+  RegionId Loop = T.regionEnteredBy(V, 5);
   ASSERT_NE(Loop, InvalidRegion);
   std::vector<NodeId> Body = T.allNodes(Loop);
   SubCfg S = extractRegionSubCfg(G, Body, T.region(Loop).EntryEdge,
@@ -131,8 +132,9 @@ TEST(SubCfgExtraction, Figure1LoopBody) {
 
 TEST(SubCfgExtraction, DetectsBoundaryViolation) {
   Cfg G = paperFigure1Cfg();
-  ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(G));
-  RegionId Loop = T.regionEnteredBy(5);
+  FrozenCfg V(G);
+  ProgramStructureTree T = ProgramStructureTree::build(V);
+  RegionId Loop = T.regionEnteredBy(V, 5);
   std::vector<NodeId> Body = T.allNodes(Loop);
   Body.pop_back(); // Drop one body node: its edges now cross the cut.
   SubCfg S = extractRegionSubCfg(G, Body, T.region(Loop).EntryEdge,
