@@ -56,7 +56,7 @@ int main() {
     for (size_t I = 0; I < Keys.size(); I += Step) {
       BitVectorProblem P = makeSingleExprAvailability(F, Keys[I]);
       Qpg Q = buildQpg(V, T, P);
-      Seg S = buildSeg(V, DT, DF, P);
+      Seg S = buildSeg(V, DF, P);
       double QpgRatio = static_cast<double>(Q.numNodes()) /
                         static_cast<double>(F.Graph.numNodes());
       double SegRatio = static_cast<double>(S.numNodes()) /

@@ -75,7 +75,7 @@ void BM_SegBuildOnly(benchmark::State &State) {
   DomTree DT = DomTree::buildIterative(V);
   DominanceFrontiers DF(V, DT);
   for (auto _ : State) {
-    Seg S = buildSeg(V, DT, DF, P);
+    Seg S = buildSeg(V, DF, P);
     benchmark::DoNotOptimize(S.numNodes());
   }
 }
@@ -88,7 +88,7 @@ void BM_SegBuildWithFrontiers(benchmark::State &State) {
   for (auto _ : State) {
     DomTree DT = DomTree::buildIterative(V);
     DominanceFrontiers DF(V, DT);
-    Seg S = buildSeg(V, DT, DF, P);
+    Seg S = buildSeg(V, DF, P);
     benchmark::DoNotOptimize(S.numNodes());
   }
 }

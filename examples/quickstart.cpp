@@ -67,7 +67,8 @@ int main() {
   std::cout << "\nRegion kinds:\n";
   for (RegionId R = 1; R < T.numRegions(); ++R)
     std::cout << "  region " << R << ": "
-              << regionKindName(classifyRegion(V, T, R)) << "\n";
+              << regionKindName(classifyRegion(collapseRegion(V, T, R)))
+              << "\n";
 
   // Dump Graphviz for visual inspection.
   std::cout << "\nGraphviz of the CFG:\n";

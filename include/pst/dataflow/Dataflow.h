@@ -19,9 +19,9 @@
 ///  * QPG solving (see Qpg.h) for sparse single-instance problems.
 ///
 /// Problems are stated forward. A backward problem (\c makeLiveVariables
-/// in Problems.h) is stated forward over \c reverseCfg of its graph, which
-/// keeps node and edge ids, so the solution's In/Out are the backward
-/// OUT/IN.
+/// in Problems.h) is stated forward over \c CfgView::reversed() of its
+/// graph, which keeps node and edge ids, so the solution's In/Out are the
+/// backward OUT/IN.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -30,8 +30,9 @@ BitVectorProblem makeReachingDefs(const LoweredFunction &F,
                                   std::vector<VarId> *DefVarOut = nullptr);
 
 /// Live variables: backward, union meet; one bit per variable. The
-/// returned problem is stated forward over \c reverseCfg(F.Graph) — solve
-/// it there; In/Out of the reversed graph are the backward Out/In.
+/// returned problem is stated forward over the reversed graph — solve it
+/// on \c V.reversed() for a view \c V of \c F.Graph; In/Out there are the
+/// backward Out/In.
 BitVectorProblem makeLiveVariables(const LoweredFunction &F);
 
 /// Available expressions: forward, intersect meet; one bit per distinct

@@ -52,13 +52,12 @@ struct Seg {
 
 /// Builds the SEG for \p P over \p V. Requires dominance frontiers (that
 /// is the construction cost the paper contrasts with the QPG's).
-Seg buildSeg(const CfgView &V, const DomTree &DT,
-             const DominanceFrontiers &DF, const BitVectorProblem &P);
+Seg buildSeg(const CfgView &V, const DominanceFrontiers &DF,
+             const BitVectorProblem &P);
 
 /// Solves \p P on its SEG and projects back to a full per-node solution.
 /// Identical to \c solveIterative on every node (tested).
-DataflowSolution solveOnSeg(const CfgView &V, const DomTree &DT,
-                            const DominanceFrontiers &DF,
+DataflowSolution solveOnSeg(const CfgView &V, const DominanceFrontiers &DF,
                             const BitVectorProblem &P, Seg *OutSeg = nullptr);
 
 } // namespace pst

@@ -17,7 +17,7 @@
 ///    equivalence algorithm against ("runs faster than Lengauer and
 ///    Tarjan's algorithm for finding dominators").
 ///
-/// Postdominators are dominators of the reversed graph (a \c ReversedCfgView
+/// Postdominators are dominators of the reversed graph (\c CfgView::reversed
 /// keeps node ids, so the tree indexes the original nodes).
 ///
 /// Tree children and frontiers are \c NodeCsr relations, the layout the
@@ -93,9 +93,8 @@ public:
   static DomTree buildLengauerTarjan(const CfgView &V);
 
   /// Builds the postdominator tree of \p V (dominators of the reverse graph,
-  /// rooted at exit), using the iterative algorithm. No reversed graph is
-  /// materialized: the kernel runs on a \c ReversedCfgView, whose succ
-  /// segments are the view's pred segments.
+  /// rooted at exit): \c buildIterative on \c V.reversed(), whose succ
+  /// segments are the view's pred segments, so nothing is materialized.
   static DomTree buildPostDom(const CfgView &V);
 
   /// Wraps an externally computed immediate-dominator array (e.g. from the
@@ -130,11 +129,6 @@ public:
 
 private:
   void finalize(); // Builds Kids/In/Out from Idom.
-
-  // Iterative kernel shared by the forward (dominator) and reversed
-  // (postdominator) views; defined (and only instantiated) in
-  // Dominators.cpp.
-  template <class GraphT> static DomTree buildIterativeImpl(const GraphT &G);
 
   NodeId Root = InvalidNode;
   std::vector<NodeId> Idom;

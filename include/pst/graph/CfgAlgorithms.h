@@ -38,8 +38,14 @@ struct DfsResult {
 /// Runs an iterative DFS over the directed graph from \p Root, following
 /// successor edges in order. Deterministic given the graph.
 DfsResult depthFirstSearch(const CfgView &G, NodeId Root);
-/// Same traversal over a reversed view (follows pred CSR segments).
-DfsResult depthFirstSearch(const ReversedCfgView &G, NodeId Root);
+
+/// Marks the back edges of search \p D over \p G: the edges u -> v whose
+/// target is an ancestor of u in the DFS tree or u itself, i.e. whose
+/// target finished no earlier than their source. Edges leaving unreached
+/// nodes are unmarked. The graph has a cycle through reached nodes iff
+/// some edge is marked; removing the marked edges leaves an acyclic graph
+/// that \p D's reverse postorder sorts topologically.
+std::vector<bool> backEdges(const CfgView &G, const DfsResult &D);
 
 /// Returns the nodes reachable from \p Root following successor edges.
 std::vector<bool> reachableFrom(const Cfg &G, NodeId Root);
@@ -54,8 +60,6 @@ bool existsPathBetween(const Cfg &G, NodeId From, NodeId To);
 /// iteration order for forward dataflow and dominators). Unreached nodes are
 /// absent.
 std::vector<NodeId> reversePostOrder(const CfgView &G);
-/// Same order over a reversed view (the postdominator sweep order).
-std::vector<NodeId> reversePostOrder(const ReversedCfgView &G);
 
 /// Checks the Definition-1 invariants:
 ///  * entry and exit are set and distinct,

@@ -24,8 +24,9 @@
 /// ids *in increasing id order* — identical to \c Cfg::succEdges order,
 /// because \c Cfg only ever appends edges — and SuccTo holds the matching
 /// targets so traversals touch one cache line stream instead of hopping
-/// through the central edge table. Same for the incoming side. Analyses that
-/// iterate a reversed graph read the Pred arrays directly instead of
+/// through the central edge table. Same for the incoming side. Analyses of
+/// the reversed graph (postdominators, backward dataflow) run on
+/// \c reversed(), which swaps the two sides in O(1) instead of
 /// materializing a reversed \c Cfg.
 ///
 /// The view is non-owning: all storage lives in a caller-provided
@@ -47,6 +48,7 @@
 #include "pst/graph/Cfg.h"
 
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace pst {
@@ -92,6 +94,23 @@ public:
                        const EdgeId *SuccEdge, const NodeId *SuccTo,
                        const EdgeId *PredEdge, const NodeId *PredFrom,
                        const NodeId *EdgeSrc, const NodeId *EdgeDst);
+
+  /// The same graph with every edge reversed and entry/exit swapped, in
+  /// O(1): the succ and pred arrays trade places, as do EdgeSrc and
+  /// EdgeDst. Node and edge ids are kept, and both CSR sides list each
+  /// node's edges in ascending id order, so the result is array for array
+  /// the view of \c reverseCfg(G) and DFS-derived structures
+  /// (postdominators in particular) match a materialized reversal exactly.
+  /// Reversing twice gives back this view. Valid as long as this view is.
+  CfgView reversed() const {
+    CfgView R = *this;
+    std::swap(R.EntryNode, R.ExitNode);
+    std::swap(R.SuccOffP, R.PredOffP);
+    std::swap(R.SuccEdgeP, R.PredEdgeP);
+    std::swap(R.SuccToP, R.PredFromP);
+    std::swap(R.EdgeSrcP, R.EdgeDstP);
+    return R;
+  }
 
   uint32_t numNodes() const { return N; }
   uint32_t numEdges() const { return E; }
@@ -160,6 +179,8 @@ private:
 /// be bound to a reference that outlives the full expression.
 class FrozenCfg {
 public:
+  /// An empty view (no nodes), to be assigned a frozen graph later.
+  FrozenCfg() = default;
   explicit FrozenCfg(const Cfg &G) : View(CfgView::build(G, Scratch)) {}
   FrozenCfg(const FrozenCfg &) = delete;
   FrozenCfg &operator=(const FrozenCfg &) = delete;
@@ -172,31 +193,6 @@ public:
 private:
   CfgViewScratch Scratch; // Declared first: View points into it.
   CfgView View;
-};
-
-/// \c CfgView with every edge reversed, entry/exit swapped — the flat-array
-/// replacement for materializing \c reverseCfg(G). Edge ids are preserved.
-/// Because both CSR sides keep per-node lists in ascending edge-id order,
-/// iterating this adapter's succEdges visits exactly the edges (and order)
-/// that \c reverseCfg's succ lists would hold, so DFS-derived structures
-/// (postdominators in particular) match a materialized reversal exactly.
-class ReversedCfgView {
-public:
-  explicit ReversedCfgView(const CfgView &View) : V(View) {}
-
-  uint32_t numNodes() const { return V.numNodes(); }
-  uint32_t numEdges() const { return V.numEdges(); }
-  NodeId entry() const { return V.exit(); }
-  NodeId exit() const { return V.entry(); }
-  NodeId source(EdgeId Id) const { return V.target(Id); }
-  NodeId target(EdgeId Id) const { return V.source(Id); }
-  std::span<const EdgeId> succEdges(NodeId N) const { return V.predEdges(N); }
-  std::span<const EdgeId> predEdges(NodeId N) const { return V.succEdges(N); }
-  std::span<const NodeId> succNodes(NodeId N) const { return V.predNodes(N); }
-  std::span<const NodeId> predNodes(NodeId N) const { return V.succNodes(N); }
-
-private:
-  CfgView V; // By value: a view is a handful of pointers.
 };
 
 } // namespace pst

@@ -148,18 +148,19 @@ public:
 
 private:
   /// Static shape of one region's collapsed body, computed once up front:
-  /// the quotient nodes, the acyclic skeleton, and the back edges whose
-  /// traversal counts define the iteration axis.
+  /// the body graph, its back edges (whose traversal counts define the
+  /// iteration axis) and a topological order of the acyclic rest.
   struct RegionShape {
     CollapsedBody Body;
     RegionKind Kind = RegionKind::Block;
     bool Cyclic = false;
-    /// CFG edge ids of the quotient back edges (DFS classification).
+    /// Per body-graph edge: a back edge of the DFS from Start.
+    std::vector<bool> IsBack;
+    /// CFG edge ids of the back edges.
     std::vector<EdgeId> BackCfgEdges;
-    /// Quotient edges that survive back-edge removal, as (src, dst).
-    std::vector<std::pair<uint32_t, uint32_t>> DagEdges;
-    /// Topological order of the quotient nodes in the acyclic skeleton.
-    std::vector<uint32_t> Topo;
+    /// Reverse postorder of that DFS: a topological order of the body
+    /// graph without its back edges.
+    std::vector<NodeId> Topo;
   };
 
   void computeShapes();

@@ -19,16 +19,9 @@ DomTree pst::buildDominatorsViaPst(const CfgView &G,
   for (RegionId R = 0; R < T.numRegions(); ++R) {
     CollapsedBody B = collapseRegion(G, T, R);
 
-    // Local dominators of the collapsed body, rooted at the region's
-    // entry-side node (the body's only entrance).
-    Cfg Q;
-    for (uint32_t I = 0; I < B.numNodes(); ++I)
-      Q.addNode();
-    for (const auto &E : B.Edges)
-      Q.addEdge(E.Src, E.Dst);
-    Q.setEntry(B.EntryQ);
-    Q.setExit(B.ExitQ); // Unused by the builder; kept for completeness.
-    DomTree Local = DomTree::buildIterative(FrozenCfg(Q));
+    // Local dominators of the collapsed body, rooted at its Start (which
+    // stands for the region's entry edge).
+    DomTree Local = DomTree::buildIterative(B.view());
 
     // Maps a quotient node to the CFG node that dominates everything
     // "after" it: itself for immediate nodes, the exit-edge source for a

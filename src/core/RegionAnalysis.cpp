@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cassert>
 #include <sstream>
-#include <unordered_map>
 
 using namespace pst;
 
@@ -33,74 +32,88 @@ static RegionId liftToChild(const ProgramStructureTree &T, RegionId R,
 CollapsedBody pst::collapseRegion(const CfgView &G,
                                   const ProgramStructureTree &T, RegionId R) {
   CollapsedBody B;
-  std::unordered_map<uint64_t, uint32_t> QIndex; // Keyed below.
+  // (key, quotient index), sorted by key for lookup.
+  std::vector<std::pair<uint64_t, uint32_t>> QIndex;
   auto NodeKey = [](NodeId N) { return uint64_t(N); };
   auto RegionKey = [](RegionId Rg) { return (uint64_t(1) << 40) | Rg; };
 
-  auto GetQ = [&](uint64_t Key, bool IsRegion, NodeId N,
-                  RegionId Rg) -> uint32_t {
-    auto It = QIndex.find(Key);
-    if (It != QIndex.end())
-      return It->second;
-    uint32_t Idx = static_cast<uint32_t>(B.Nodes.size());
+  auto AddQ = [&](uint64_t Key, bool IsRegion, NodeId N, RegionId Rg) {
+    QIndex.emplace_back(Key, static_cast<uint32_t>(B.Nodes.size()));
     B.Nodes.push_back(CollapsedBody::QNode{IsRegion, N, Rg});
-    QIndex.emplace(Key, Idx);
-    return Idx;
   };
 
-  // Immediate nodes first (stable order), then child regions.
+  // Immediate nodes first (stable order), then child regions, then the
+  // synthetic Start and End.
+  size_t NQ = T.immediateNodes(R).size() + T.children(R).size();
+  QIndex.reserve(NQ);
+  B.Nodes.reserve(NQ);
   for (NodeId N : T.immediateNodes(R))
-    GetQ(NodeKey(N), false, N, InvalidRegion);
+    AddQ(NodeKey(N), false, N, InvalidRegion);
   for (RegionId C : T.children(R))
-    GetQ(RegionKey(C), true, InvalidNode, C);
+    AddQ(RegionKey(C), true, InvalidNode, C);
+  std::sort(QIndex.begin(), QIndex.end());
+  // At most the immediate nodes' out-edges, the children's exit edges and
+  // the two boundary edges.
+  size_t MaxEdges = T.children(R).size() + 2;
+  for (NodeId N : T.immediateNodes(R))
+    MaxEdges += G.outDegree(N);
+  B.Graph.reserveNodes(B.numNodes() + 2);
+  B.Graph.reserveEdges(MaxEdges);
+  B.CfgEdge.reserve(MaxEdges);
+  for (uint32_t I = 0; I < B.numNodes() + 2; ++I)
+    B.Graph.addNode();
 
   auto MapNode = [&](NodeId N) -> uint32_t {
     RegionId Child = liftToChild(T, R, N);
     if (Child == InvalidRegion)
       return UINT32_MAX;
-    if (Child == R)
-      return QIndex.at(NodeKey(N));
-    return QIndex.at(RegionKey(Child));
+    uint64_t Key = Child == R ? NodeKey(N) : RegionKey(Child);
+    return std::lower_bound(QIndex.begin(), QIndex.end(),
+                            std::pair<uint64_t, uint32_t>(Key, 0))
+        ->second;
+  };
+  auto AddEdge = [&](uint32_t QS, uint32_t QD, EdgeId E) {
+    B.Graph.addEdge(QS, QD);
+    B.CfgEdge.push_back(E);
   };
 
   // Collect edges whose both endpoints live in R's subtree, skipping edges
   // internal to one collapsed child. The region's own entry/exit edges have
   // an endpoint outside R and drop out naturally.
-  auto CollectEdgesOf = [&](NodeId N) {
-    for (EdgeId E : G.succEdges(N)) {
-      uint32_t QS = MapNode(G.source(E));
-      uint32_t QD = MapNode(G.target(E));
-      if (QS == UINT32_MAX || QD == UINT32_MAX)
-        continue;
-      if (QS == QD && B.Nodes[QS].IsRegion)
-        continue; // Internal to the child region.
-      B.Edges.push_back(CollapsedBody::QEdge{QS, QD, E});
-    }
+  auto CollectEdge = [&](EdgeId E) {
+    uint32_t QS = MapNode(G.source(E));
+    uint32_t QD = MapNode(G.target(E));
+    if (QS == UINT32_MAX || QD == UINT32_MAX)
+      return;
+    if (QS == QD && B.Nodes[QS].IsRegion)
+      return; // Internal to the child region.
+    AddEdge(QS, QD, E);
   };
   for (NodeId N : T.immediateNodes(R))
-    CollectEdgesOf(N);
-  for (RegionId C : T.children(R)) {
-    // Only the child's exit-side boundary node can start edges that leave
-    // the collapsed child: its exit edge. Other internal edges were
-    // skipped above; we must still scan the child's nodes for edges that
-    // leave the child subtree (exactly its exit edge, by the SESE
-    // property).
-    EdgeId Exit = T.region(C).ExitEdge;
-    uint32_t QS = MapNode(G.source(Exit));
-    uint32_t QD = MapNode(G.target(Exit));
-    if (QS != UINT32_MAX && QD != UINT32_MAX &&
-        !(QS == QD && B.Nodes[QS].IsRegion))
-      B.Edges.push_back(CollapsedBody::QEdge{QS, QD, Exit});
-  }
+    for (EdgeId E : G.succEdges(N))
+      CollectEdge(E);
+  // The only edge leaving a collapsed child is its exit edge (the SESE
+  // property), so that is all a child node contributes.
+  for (RegionId C : T.children(R))
+    CollectEdge(T.region(C).ExitEdge);
 
-  // Entry/exit quotient nodes.
+  // Entry/exit quotient nodes and the boundary edges standing in for the
+  // region's entry/exit edges.
+  EdgeId EntryEdge = InvalidEdge, ExitEdge = InvalidEdge;
   if (R == T.root()) {
     B.EntryQ = MapNode(G.entry());
     B.ExitQ = MapNode(G.exit());
   } else {
-    B.EntryQ = MapNode(G.target(T.region(R).EntryEdge));
-    B.ExitQ = MapNode(G.source(T.region(R).ExitEdge));
+    EntryEdge = T.region(R).EntryEdge;
+    ExitEdge = T.region(R).ExitEdge;
+    B.EntryQ = MapNode(G.target(EntryEdge));
+    B.ExitQ = MapNode(G.source(ExitEdge));
   }
+  AddEdge(B.start(), B.EntryQ, EntryEdge);
+  AddEdge(B.ExitQ, B.end(), ExitEdge);
+  B.Graph.setEntry(B.start());
+  B.Graph.setExit(B.end());
+  B.Frozen = FrozenCfg(B.Graph);
   return B;
 }
 
@@ -124,107 +137,52 @@ const char *pst::regionKindName(RegionKind K) {
   return "unknown";
 }
 
-/// Cycle check on the quotient body via iterative coloring.
-static bool bodyHasCycle(const CollapsedBody &B) {
-  uint32_t N = B.numNodes();
-  std::vector<std::vector<uint32_t>> Succ(N);
-  for (const auto &E : B.Edges) {
-    if (E.Src == E.Dst)
-      return true; // Self loop.
-    Succ[E.Src].push_back(E.Dst);
-  }
-  std::vector<uint8_t> Color(N, 0); // 0 white, 1 grey, 2 black.
-  for (uint32_t S = 0; S < N; ++S) {
-    if (Color[S])
-      continue;
-    std::vector<std::pair<uint32_t, uint32_t>> Stack{{S, 0}};
-    Color[S] = 1;
-    while (!Stack.empty()) {
-      auto &[V, Next] = Stack.back();
-      if (Next == Succ[V].size()) {
-        Color[V] = 2;
-        Stack.pop_back();
-        continue;
-      }
-      uint32_t W = Succ[V][Next++];
-      if (Color[W] == 1)
-        return true;
-      if (Color[W] == 0) {
-        Color[W] = 1;
-        Stack.emplace_back(W, 0);
-      }
-    }
-  }
-  return false;
-}
-
-RegionKind pst::classifyRegion(const CfgView &G, const ProgramStructureTree &T,
-                               RegionId R) {
-  CollapsedBody B = collapseRegion(G, T, R);
+RegionKind pst::classifyRegion(const CollapsedBody &B) {
+  const CfgView &V = B.view();
   uint32_t N = B.numNodes();
 
-  if (N == 1 && B.Edges.empty())
+  if (N == 1 && B.numBodyEdges() == 0)
     return RegionKind::Block;
 
-  if (bodyHasCycle(B)) {
+  std::vector<bool> Back = backEdges(V, depthFirstSearch(V, B.start()));
+  if (std::find(Back.begin(), Back.end(), true) != Back.end()) {
     // Reducible cyclic bodies count as loops; irreducible ones as cyclic
     // unstructured (the paper's last bucket).
-    Cfg Q;
-    for (uint32_t I = 0; I < N; ++I)
-      Q.addNode();
-    for (const auto &E : B.Edges)
-      Q.addEdge(E.Src, E.Dst);
-    // Reducibility only needs the entry; the quotient may not be a valid
-    // two-terminal CFG so validate is never called on it.
-    Q.setEntry(B.EntryQ);
-    Q.setExit(B.ExitQ);
-    return isReducible(FrozenCfg(Q)) ? RegionKind::Loop
-                                     : RegionKind::CyclicUnstructured;
+    return isReducible(V) ? RegionKind::Loop : RegionKind::CyclicUnstructured;
   }
 
   // Acyclic shapes: one branch node whose arms are disjoint linear chains
   // (possibly empty, possibly several sequential regions long) that all
-  // converge on one join node, covering the whole body.
-  if (B.EntryQ < N && B.ExitQ < N && B.EntryQ != B.ExitQ) {
-    std::vector<std::vector<uint32_t>> Succ(N);
-    std::vector<uint32_t> Indeg(N, 0);
-    for (const auto &E : B.Edges) {
-      Succ[E.Src].push_back(E.Dst);
-      ++Indeg[E.Dst];
+  // converge on one join node, covering the whole body. Of the boundary
+  // edges only the join's edge to End touches these nodes: Start feeds the
+  // branch node alone, and no arm node can be the (acyclic) branch node.
+  uint32_t Join = B.ExitQ;
+  if (B.EntryQ == Join)
+    return RegionKind::Dag;
+  std::span<const NodeId> EntrySuccs = V.succNodes(B.EntryQ);
+  if (EntrySuccs.size() < 2 || V.outDegree(Join) != 1)
+    return RegionKind::Dag;
+  uint32_t DirectToJoin = 0, Covered = 2; // Entry and join.
+  for (NodeId Arm : EntrySuccs) {
+    if (Arm == Join) {
+      ++DirectToJoin;
+      continue;
     }
-    const auto &EntrySuccs = Succ[B.EntryQ];
-    uint32_t Join = B.ExitQ;
-    if (EntrySuccs.size() >= 2 && Succ[Join].empty()) {
-      bool AllArmsSimple = true;
-      uint32_t DirectToJoin = 0, Covered = 2; // Entry and join.
-      for (uint32_t Arm : EntrySuccs) {
-        if (Arm == Join) {
-          ++DirectToJoin;
-          continue;
-        }
-        // Walk the chain: every hop must be a straight link.
-        uint32_t Cur = Arm;
-        while (Cur != Join) {
-          if (Indeg[Cur] != 1 || Succ[Cur].size() != 1) {
-            AllArmsSimple = false;
-            break;
-          }
-          ++Covered;
-          Cur = Succ[Cur][0];
-        }
-        if (!AllArmsSimple)
-          break;
-      }
-      if (AllArmsSimple && Covered == N) {
-        if (EntrySuccs.size() == 2 && DirectToJoin == 1)
-          return RegionKind::IfThen;
-        if (EntrySuccs.size() == 2 && DirectToJoin == 0)
-          return RegionKind::IfThenElse;
-        if (EntrySuccs.size() >= 3)
-          return RegionKind::Case;
-      }
+    // Walk the chain: every hop must be a straight link.
+    for (NodeId Cur = Arm; Cur != Join; Cur = V.succNodes(Cur)[0]) {
+      if (V.inDegree(Cur) != 1 || V.outDegree(Cur) != 1)
+        return RegionKind::Dag;
+      ++Covered;
     }
   }
+  if (Covered != N)
+    return RegionKind::Dag;
+  if (EntrySuccs.size() >= 3)
+    return RegionKind::Case;
+  if (DirectToJoin == 1)
+    return RegionKind::IfThen;
+  if (DirectToJoin == 0)
+    return RegionKind::IfThenElse;
   return RegionKind::Dag;
 }
 
@@ -251,7 +209,7 @@ std::string pst::formatPst(const Cfg &G, const ProgramStructureTree &T) {
          << G.nodeName(G.target(Reg.EntryEdge)) << ", "
          << G.nodeName(G.source(Reg.ExitEdge)) << "->"
          << G.nodeName(G.target(Reg.ExitEdge)) << ") "
-         << regionKindName(classifyRegion(V, T, R));
+         << regionKindName(classifyRegion(collapseRegion(V, T, R)));
     }
     OS << " [nodes:";
     for (NodeId N : T.immediateNodes(R))

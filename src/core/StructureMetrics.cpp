@@ -26,7 +26,7 @@ PstStats pst::computePstStats(const CfgView &G,
     S.MaxDepth = std::max(S.MaxDepth, D);
     DepthSum += D;
 
-    RegionKind K = classifyRegion(G, T, R);
+    RegionKind K = classifyRegion(B);
     S.WeightedKind[static_cast<size_t>(K)] += regionWeight(T, R);
     if (K == RegionKind::Dag || K == RegionKind::CyclicUnstructured)
       S.FullyStructured = false;

@@ -15,116 +15,97 @@
 
 using namespace pst;
 
-DataflowSolution pst::solveIterative(const CfgView &G,
-                                     const BitVectorProblem &P) {
-  PST_SPAN("dataflow.solve_iterative");
+namespace {
+
+/// The one fixpoint loop: sweeps \p G in the order \p RPO (its reverse
+/// postorder) until no OUT changes. IN of the entry is \p Boundary; IN of
+/// any other node is the \p Meet of its predecessors' OUTs (the meet
+/// identity when it has none); OUT of node n is IN through the gen/kill
+/// function \p Transfer(n), or IN itself where that is null. Nodes
+/// unreached from the entry keep the identity. Counts sweeps into
+/// \p Passes.
+template <class TransferT>
+DataflowSolution solveFixpoint(const CfgView &G, std::span<const NodeId> RPO,
+                               const BitVector &Boundary,
+                               BitVectorProblem::MeetKind Meet,
+                               TransferT Transfer, uint64_t &Passes) {
+  bool IsUnion = Meet == BitVectorProblem::MeetKind::Union;
+  BitVector Top(Boundary.size(), !IsUnion);
+  auto Apply = [&](NodeId V, BitVector &X) {
+    if (const GenKill *F = Transfer(V)) {
+      X.subtract(F->Kill);
+      X.unionWith(F->Gen);
+    }
+  };
   uint32_t N = G.numNodes();
   DataflowSolution S;
-  S.In.assign(N, P.top());
-  S.Out.assign(N, P.top());
-  S.In[G.entry()] = P.Boundary;
-  S.Out[G.entry()] = P.apply(G.entry(), S.In[G.entry()]);
+  S.In.assign(N, Top);
+  S.Out.assign(N, Top);
+  S.In[G.entry()] = Boundary;
+  S.Out[G.entry()] = Boundary;
+  Apply(G.entry(), S.Out[G.entry()]);
 
-  std::vector<NodeId> RPO = reversePostOrder(G);
+  BitVector Out; // Reused across nodes; swapped in when OUT changes.
   bool Changed = true;
-  uint64_t Passes = 0;
   while (Changed) {
     Changed = false;
     ++Passes;
     for (NodeId V : RPO) {
       if (V != G.entry()) {
-        BitVector In = P.top();
-        bool First = true;
-        for (EdgeId E : G.predEdges(V)) {
-          const BitVector &PredOut = S.Out[G.source(E)];
-          if (First) {
-            In = PredOut;
-            First = false;
-          } else if (P.Meet == BitVectorProblem::MeetKind::Union) {
-            In.unionWith(PredOut);
-          } else {
-            In.intersectWith(PredOut);
-          }
+        BitVector &In = S.In[V];
+        std::span<const NodeId> Preds = G.predNodes(V);
+        In = Preds.empty() ? Top : S.Out[Preds[0]];
+        for (NodeId P : Preds.subspan(std::min<size_t>(1, Preds.size()))) {
+          if (IsUnion)
+            In.unionWith(S.Out[P]);
+          else
+            In.intersectWith(S.Out[P]);
         }
-        S.In[V] = std::move(In);
       }
-      BitVector Out = P.apply(V, S.In[V]);
+      Out = S.In[V];
+      Apply(V, Out);
       if (Out != S.Out[V]) {
-        S.Out[V] = std::move(Out);
+        std::swap(Out, S.Out[V]);
         Changed = true;
       }
     }
   }
+  return S;
+}
+
+/// Solves one collapsed region body, whose reverse postorder is \p RPO,
+/// given the value on the region's entry edge: the fixpoint over the body
+/// graph, whose Start carries \p EntryValue unchanged. ChildSummary
+/// supplies gen/kill summaries for collapsed children. Returns IN/OUT per
+/// body-graph node.
+DataflowSolution solveBody(const CollapsedBody &B, std::span<const NodeId> RPO,
+                           const BitVectorProblem &P,
+                           const std::vector<GenKill> &ChildSummary,
+                           const BitVector &EntryValue) {
+  auto TransferQ = [&](NodeId Q) -> const GenKill * {
+    if (Q >= B.numNodes())
+      return nullptr; // Start and End pass the value through.
+    const CollapsedBody::QNode &Node = B.Nodes[Q];
+    return Node.IsRegion ? &ChildSummary[Node.Region] : &P.Transfer[Node.Node];
+  };
+  uint64_t Passes = 0;
+  return solveFixpoint(B.view(), RPO, EntryValue, P.Meet, TransferQ, Passes);
+}
+
+} // namespace
+
+DataflowSolution pst::solveIterative(const CfgView &G,
+                                     const BitVectorProblem &P) {
+  PST_SPAN("dataflow.solve_iterative");
+  uint64_t Passes = 0;
+  DataflowSolution S = solveFixpoint(
+      G, reversePostOrder(G), P.Boundary, P.Meet,
+      [&](NodeId V) { return &P.Transfer[V]; }, Passes);
   PST_COUNTER("dataflow.iterative_solves", 1);
   PST_COUNTER("dataflow.iterative_passes", Passes);
   PST_VALUE("dataflow.passes_per_solve", Passes);
   return S;
 }
-
-namespace {
-
-/// Iteratively solves one collapsed region body given the value on the
-/// region's entry edge. ChildSummary supplies gen/kill summaries for
-/// collapsed children. Returns IN/OUT per quotient node.
-struct BodySolution {
-  std::vector<BitVector> In, Out;
-};
-
-BodySolution solveBody(const CollapsedBody &B, const BitVectorProblem &P,
-                       const std::vector<GenKill> &ChildSummary,
-                       const BitVector &EntryValue) {
-  uint32_t N = B.numNodes();
-  std::vector<std::vector<uint32_t>> PredEdges(N);
-  for (uint32_t I = 0; I < B.Edges.size(); ++I)
-    PredEdges[B.Edges[I].Dst].push_back(B.Edges[I].Src);
-
-  auto ApplyQ = [&](uint32_t Q, const BitVector &In) {
-    const auto &Node = B.Nodes[Q];
-    BitVector Out = In;
-    const GenKill &T = Node.IsRegion
-                           ? ChildSummary[Node.Region]
-                           : P.Transfer[Node.Node];
-    Out.subtract(T.Kill);
-    Out.unionWith(T.Gen);
-    return Out;
-  };
-
-  BodySolution S;
-  S.In.assign(N, P.top());
-  S.Out.assign(N, P.top());
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (uint32_t Q = 0; Q < N; ++Q) {
-      BitVector In = P.top();
-      bool First = true;
-      auto Meet = [&](const BitVector &X) {
-        if (First) {
-          In = X;
-          First = false;
-        } else if (P.Meet == BitVectorProblem::MeetKind::Union) {
-          In.unionWith(X);
-        } else {
-          In.intersectWith(X);
-        }
-      };
-      if (Q == B.EntryQ)
-        Meet(EntryValue); // The region's entry edge contribution.
-      for (uint32_t PredQ : PredEdges[Q])
-        Meet(S.Out[PredQ]);
-      S.In[Q] = std::move(In);
-      BitVector Out = ApplyQ(Q, S.In[Q]);
-      if (Out != S.Out[Q]) {
-        S.Out[Q] = std::move(Out);
-        Changed = true;
-      }
-    }
-  }
-  return S;
-}
-
-} // namespace
 
 DataflowSolution pst::solveElimination(const CfgView &G,
                                        const ProgramStructureTree &T,
@@ -133,10 +114,13 @@ DataflowSolution pst::solveElimination(const CfgView &G,
   PST_COUNTER("dataflow.elimination_solves", 1);
   uint32_t NumRegions = T.numRegions();
 
-  // Collapsed bodies, built once per region.
+  // Collapsed bodies and their sweep orders, built once per region.
   std::vector<CollapsedBody> Bodies(NumRegions);
-  for (RegionId R = 0; R < NumRegions; ++R)
+  std::vector<std::vector<NodeId>> BodyRPO(NumRegions);
+  for (RegionId R = 0; R < NumRegions; ++R) {
     Bodies[R] = collapseRegion(G, T, R);
+    BodyRPO[R] = reversePostOrder(Bodies[R].view());
+  }
 
   // Regions in bottom-up (children before parents) order: depths descend.
   std::vector<RegionId> Order(NumRegions);
@@ -156,8 +140,8 @@ DataflowSolution pst::solveElimination(const CfgView &G,
     if (R == T.root())
       continue;
     const CollapsedBody &B = Bodies[R];
-    BitVector F0 = solveBody(B, P, Summary, Empty).Out[B.ExitQ];
-    BitVector F1 = solveBody(B, P, Summary, Full).Out[B.ExitQ];
+    BitVector F0 = solveBody(B, BodyRPO[R], P, Summary, Empty).Out[B.ExitQ];
+    BitVector F1 = solveBody(B, BodyRPO[R], P, Summary, Full).Out[B.ExitQ];
     Summary[R].Gen = F0;
     // Kill = ~f(full): bits that do not survive even when everything
     // enters. (x - Kill) == (x & f(full)).
@@ -178,7 +162,7 @@ DataflowSolution pst::solveElimination(const CfgView &G,
   for (auto It = Order.rbegin(); It != Order.rend(); ++It) {
     RegionId R = *It;
     const CollapsedBody &B = Bodies[R];
-    BodySolution BS = solveBody(B, P, Summary, EntryValue[R]);
+    DataflowSolution BS = solveBody(B, BodyRPO[R], P, Summary, EntryValue[R]);
     for (uint32_t Q = 0; Q < B.numNodes(); ++Q) {
       const auto &Node = B.Nodes[Q];
       if (Node.IsRegion) {

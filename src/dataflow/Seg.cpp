@@ -14,10 +14,9 @@
 
 using namespace pst;
 
-Seg pst::buildSeg(const CfgView &G, const DomTree &DT,
-                  const DominanceFrontiers &DF, const BitVectorProblem &P) {
+Seg pst::buildSeg(const CfgView &G, const DominanceFrontiers &DF,
+                  const BitVectorProblem &P) {
   PST_SPAN("dataflow.seg_build");
-  (void)DT; // The tree is only needed to build DF; kept for symmetry.
   uint32_t N = G.numNodes();
 
   // Interesting nodes: entry plus non-identity transfer functions.
@@ -52,18 +51,11 @@ Seg pst::buildSeg(const CfgView &G, const DomTree &DT,
   // a member). SEG edges connect governors of predecessors to members.
   S.GovernedBy.assign(N, UINT32_MAX);
   S.GovernedBy[G.entry()] = 0;
-  std::vector<std::pair<uint32_t, uint32_t>> RawEdges;
   for (NodeId V : reversePostOrder(G)) {
     if (V == G.entry())
       continue;
     if (InSeg[V]) {
-      uint32_t Me = S.NodeIndex[V];
-      for (EdgeId E : G.predEdges(V)) {
-        uint32_t From = S.GovernedBy[G.source(E)];
-        if (From != UINT32_MAX)
-          RawEdges.emplace_back(From, Me);
-      }
-      S.GovernedBy[V] = Me;
+      S.GovernedBy[V] = S.NodeIndex[V];
       continue;
     }
     for (EdgeId E : G.predEdges(V)) {
@@ -94,7 +86,7 @@ Seg pst::buildSeg(const CfgView &G, const DomTree &DT,
     }
   }
   // Collect edges into SEG members now that all governors are known.
-  RawEdges.clear();
+  std::vector<std::pair<uint32_t, uint32_t>> RawEdges;
   for (NodeId V : S.Nodes) {
     if (V == G.entry())
       continue;
@@ -119,11 +111,11 @@ Seg pst::buildSeg(const CfgView &G, const DomTree &DT,
   return S;
 }
 
-DataflowSolution pst::solveOnSeg(const CfgView &G, const DomTree &DT,
+DataflowSolution pst::solveOnSeg(const CfgView &G,
                                  const DominanceFrontiers &DF,
                                  const BitVectorProblem &P, Seg *OutSeg) {
   PST_SPAN("dataflow.seg_solve");
-  Seg S = buildSeg(G, DT, DF, P);
+  Seg S = buildSeg(G, DF, P);
   uint32_t M = S.numNodes();
   std::vector<BitVector> In(M, P.top()), Out(M, P.top());
   In[0] = P.Boundary;

@@ -45,7 +45,7 @@ void DomTree::finalize() {
   }
 }
 
-template <class GraphT> DomTree DomTree::buildIterativeImpl(const GraphT &G) {
+DomTree DomTree::buildIterative(const CfgView &G) {
   DomTree T;
   T.Root = G.entry();
   uint32_t N = G.numNodes();
@@ -92,10 +92,6 @@ template <class GraphT> DomTree DomTree::buildIterativeImpl(const GraphT &G) {
   T.Idom[T.Root] = InvalidNode;
   T.finalize();
   return T;
-}
-
-DomTree DomTree::buildIterative(const CfgView &V) {
-  return buildIterativeImpl(V);
 }
 
 namespace {
@@ -207,7 +203,7 @@ DomTree DomTree::buildLengauerTarjan(const CfgView &G) {
 }
 
 DomTree DomTree::buildPostDom(const CfgView &V) {
-  return buildIterativeImpl(ReversedCfgView(V));
+  return buildIterative(V.reversed());
 }
 
 DomTree DomTree::fromIdom(NodeId Root, std::vector<NodeId> Idom) {

@@ -13,11 +13,7 @@
 
 using namespace pst;
 
-namespace {
-
-// Shared by the forward and reversed views: both expose the same read API,
-// and the template guarantees the traversal orders cannot diverge.
-template <class GraphT> DfsResult dfsImpl(const GraphT &G, NodeId Root) {
+DfsResult pst::depthFirstSearch(const CfgView &G, NodeId Root) {
   DfsResult R;
   uint32_t N = G.numNodes();
   R.PreNum.assign(N, UINT32_MAX);
@@ -27,7 +23,12 @@ template <class GraphT> DfsResult dfsImpl(const GraphT &G, NodeId Root) {
 
   // Explicit stack of (node, next successor index) frames so deep graphs
   // (the benches use 100k-node chains) do not overflow the call stack.
+  // Every list is sized up front: one allocation each, however the search
+  // goes.
   std::vector<std::pair<NodeId, uint32_t>> Stack;
+  Stack.reserve(N);
+  R.Preorder.reserve(N);
+  R.Postorder.reserve(N);
   R.PreNum[Root] = static_cast<uint32_t>(R.Preorder.size());
   R.Preorder.push_back(Root);
   Stack.emplace_back(Root, 0);
@@ -52,14 +53,15 @@ template <class GraphT> DfsResult dfsImpl(const GraphT &G, NodeId Root) {
   return R;
 }
 
-} // namespace
-
-DfsResult pst::depthFirstSearch(const CfgView &G, NodeId Root) {
-  return dfsImpl(G, Root);
-}
-
-DfsResult pst::depthFirstSearch(const ReversedCfgView &G, NodeId Root) {
-  return dfsImpl(G, Root);
+std::vector<bool> pst::backEdges(const CfgView &G, const DfsResult &D) {
+  std::vector<uint32_t> PostNum(G.numNodes(), 0);
+  for (uint32_t I = 0; I < D.Postorder.size(); ++I)
+    PostNum[D.Postorder[I]] = I;
+  std::vector<bool> Back(G.numEdges(), false);
+  for (EdgeId E = 0; E < G.numEdges(); ++E)
+    Back[E] = D.PreNum[G.source(E)] != UINT32_MAX &&
+              PostNum[G.target(E)] >= PostNum[G.source(E)];
+  return Back;
 }
 
 std::vector<bool> pst::reachableFrom(const Cfg &G, NodeId Root) {
@@ -108,12 +110,8 @@ bool pst::existsPathBetween(const Cfg &G, NodeId From, NodeId To) {
 
 std::vector<NodeId> pst::reversePostOrder(const CfgView &G) {
   DfsResult R = depthFirstSearch(G, G.entry());
-  return std::vector<NodeId>(R.Postorder.rbegin(), R.Postorder.rend());
-}
-
-std::vector<NodeId> pst::reversePostOrder(const ReversedCfgView &G) {
-  DfsResult R = depthFirstSearch(G, G.entry());
-  return std::vector<NodeId>(R.Postorder.rbegin(), R.Postorder.rend());
+  std::reverse(R.Postorder.begin(), R.Postorder.end());
+  return std::move(R.Postorder);
 }
 
 bool pst::validateCfg(const Cfg &G, std::string *Why) {

@@ -6,6 +6,7 @@
 
 #include "pst/prof/RegionProfile.h"
 
+#include "pst/graph/CfgAlgorithms.h"
 #include "pst/obs/ScopedTimer.h"
 
 #include <algorithm>
@@ -33,61 +34,19 @@ void RegionProfile::computeShapes() {
   for (RegionId R = 0; R < T->numRegions(); ++R) {
     RegionShape &S = Shapes[R];
     S.Body = collapseRegion(V, *T, R);
-    S.Kind = classifyRegion(V, *T, R);
+    S.Kind = classifyRegion(S.Body);
 
-    // Classify the quotient edges by an iterative three-color DFS from the
-    // entry node (unvisited quotient nodes, if any, seed follow-up walks in
-    // index order so the classification is total). An edge into a grey
-    // node is a back edge — removing exactly those leaves the acyclic
-    // skeleton, and the reverse finish order is a topological order of it.
-    uint32_t NQ = S.Body.numNodes();
-    if (NQ == 0)
-      continue;
-    std::vector<std::vector<uint32_t>> Out(NQ); // indices into Body.Edges
-    for (uint32_t EI = 0; EI < S.Body.Edges.size(); ++EI)
-      Out[S.Body.Edges[EI].Src].push_back(EI);
-
-    enum : uint8_t { White, Grey, Black };
-    std::vector<uint8_t> Color(NQ, White);
-    std::vector<uint8_t> IsBack(S.Body.Edges.size(), 0);
-    std::vector<uint32_t> Finish; // quotient nodes in finish order
-    Finish.reserve(NQ);
-    // Stack frames: (node, next out-edge index to look at).
-    std::vector<std::pair<uint32_t, uint32_t>> Stack;
-    auto RunFrom = [&](uint32_t Root) {
-      Color[Root] = Grey;
-      Stack.emplace_back(Root, 0);
-      while (!Stack.empty()) {
-        auto &[Q, Next] = Stack.back();
-        if (Next < Out[Q].size()) {
-          uint32_t EI = Out[Q][Next++];
-          uint32_t Dst = S.Body.Edges[EI].Dst;
-          if (Color[Dst] == Grey) {
-            IsBack[EI] = 1;
-          } else if (Color[Dst] == White) {
-            Color[Dst] = Grey;
-            Stack.emplace_back(Dst, 0);
-          }
-        } else {
-          Color[Q] = Black;
-          Finish.push_back(Q);
-          Stack.pop_back();
-        }
-      }
-    };
-    RunFrom(S.Body.EntryQ);
-    for (uint32_t Q = 0; Q < NQ; ++Q)
-      if (Color[Q] == White)
-        RunFrom(Q);
-
-    for (uint32_t EI = 0; EI < S.Body.Edges.size(); ++EI) {
-      if (IsBack[EI])
-        S.BackCfgEdges.push_back(S.Body.Edges[EI].CfgEdge);
-      else
-        S.DagEdges.emplace_back(S.Body.Edges[EI].Src, S.Body.Edges[EI].Dst);
-    }
+    // Classify the body edges by one DFS from Start. Removing the back
+    // edges leaves the acyclic skeleton, and reverse postorder is a
+    // topological order of it.
+    const CfgView &BV = S.Body.view();
+    DfsResult Dfs = depthFirstSearch(BV, S.Body.start());
+    S.IsBack = backEdges(BV, Dfs);
+    for (EdgeId E = 0; E < S.Body.numBodyEdges(); ++E)
+      if (S.IsBack[E])
+        S.BackCfgEdges.push_back(S.Body.CfgEdge[E]);
     S.Cyclic = !S.BackCfgEdges.empty();
-    S.Topo.assign(Finish.rbegin(), Finish.rend());
+    S.Topo.assign(Dfs.Postorder.rbegin(), Dfs.Postorder.rend());
   }
 }
 
@@ -183,9 +142,10 @@ void RegionProfile::finalize() {
     // Total weight of one quotient node across the whole workload: a block
     // contributes its dynamic instructions; a collapsed child contributes
     // its inclusive cost (serial — its own parallelism is *its* score).
-    uint32_t NQ = S.Body.numNodes();
-    std::vector<double> Weight(NQ, 0.0), Depth(NQ, 0.0);
-    for (uint32_t Q = 0; Q < NQ; ++Q) {
+    // Start and End weigh nothing.
+    const CfgView &BV = S.Body.view();
+    std::vector<double> Weight(BV.numNodes(), 0.0), Depth(BV.numNodes(), 0.0);
+    for (uint32_t Q = 0; Q < S.Body.numNodes(); ++Q) {
       const CollapsedBody::QNode &QN = S.Body.Nodes[Q];
       Weight[Q] = QN.IsRegion
                       ? static_cast<double>(Dyn[QN.Region].InclusiveCost)
@@ -197,14 +157,12 @@ void RegionProfile::finalize() {
     // critical-path length summed over all entries (for cyclic regions:
     // over all iterations) — normalizing by the corresponding count gives
     // the per-entry / per-iteration span.
-    std::vector<std::vector<uint32_t>> DagPreds(NQ);
-    for (auto [Src, Dst] : S.DagEdges)
-      DagPreds[Dst].push_back(Src);
     double Longest = 0.0;
-    for (uint32_t Q : S.Topo) {
+    for (NodeId Q : S.Topo) {
       double Best = 0.0;
-      for (uint32_t P : DagPreds[Q])
-        Best = std::max(Best, Depth[P]);
+      for (EdgeId E : BV.predEdges(Q))
+        if (!S.IsBack[E])
+          Best = std::max(Best, Depth[BV.source(E)]);
       Depth[Q] = Best + Weight[Q];
       Longest = std::max(Longest, Depth[Q]);
     }

@@ -43,31 +43,16 @@ PhiPlacement pst::placePhisClassic(const LoweredFunction &F,
 namespace {
 
 /// Per-region quotient machinery cached across variables: the collapsed
-/// body as a CFG with a virtual entry (so dominators are rooted), its
-/// dominance frontiers, and the quotient-node meanings.
+/// body (a CFG whose Start stands for the region entry) and its dominator
+/// tree and dominance frontiers.
 struct RegionSolver {
-  Cfg Q;
-  uint32_t VirtualEntry = 0;
   CollapsedBody Body;
-  std::optional<DomTree> DT;
-  std::optional<DominanceFrontiers> DF;
+  DomTree DT;
+  DominanceFrontiers DF;
 
-  void build(const CfgView &G, const ProgramStructureTree &T, RegionId R) {
-    Body = collapseRegion(G, T, R);
-    for (uint32_t I = 0; I < Body.numNodes(); ++I)
-      Q.addNode();
-    VirtualEntry = Q.addNode("ventry");
-    uint32_t VirtualExit = Q.addNode("vexit");
-    for (const auto &E : Body.Edges)
-      Q.addEdge(E.Src, E.Dst);
-    Q.addEdge(VirtualEntry, Body.EntryQ);
-    Q.addEdge(Body.ExitQ, VirtualExit);
-    Q.setEntry(VirtualEntry);
-    Q.setExit(VirtualExit);
-    FrozenCfg QV(Q);
-    DT.emplace(DomTree::buildIterative(QV));
-    DF.emplace(QV, *DT);
-  }
+  RegionSolver(const CfgView &G, const ProgramStructureTree &T, RegionId R)
+      : Body(collapseRegion(G, T, R)),
+        DT(DomTree::buildIterative(Body.view())), DF(Body.view(), DT) {}
 };
 
 } // namespace
@@ -86,10 +71,8 @@ PhiPlacement pst::placePhisPst(const LoweredFunction &F, const CfgView &G,
   // Lazily built per-region solvers, shared across variables.
   std::vector<std::optional<RegionSolver>> Solvers(NumRegions);
   auto SolverFor = [&](RegionId R) -> RegionSolver & {
-    if (!Solvers[R]) {
-      Solvers[R].emplace();
-      Solvers[R]->build(G, T, R);
-    }
+    if (!Solvers[R])
+      Solvers[R].emplace(G, T, R);
     return *Solvers[R];
   };
 
@@ -132,17 +115,17 @@ PhiPlacement pst::placePhisPst(const LoweredFunction &F, const CfgView &G,
     std::vector<NodeId> Phis;
     for (RegionId R : Marked) {
       RegionSolver &S = SolverFor(R);
-      // Definition sites in the quotient: the virtual entry (region entry
-      // acts as a definition), immediate def blocks, and marked children
-      // (a collapsed child containing a def is one definition).
-      std::vector<NodeId> QDefs{S.VirtualEntry};
+      // Definition sites in the quotient: Start (the region entry acts as
+      // a definition), immediate def blocks, and marked children (a
+      // collapsed child containing a def is one definition).
+      std::vector<NodeId> QDefs{S.Body.start()};
       for (uint32_t I = 0; I < S.Body.numNodes(); ++I) {
         const auto &N = S.Body.Nodes[I];
         if (N.IsRegion ? MarkEpoch[N.Region] == Epoch
                        : DefEpoch[N.Node] == Epoch)
           QDefs.push_back(I);
       }
-      for (NodeId M : S.DF->iterated(QDefs)) {
+      for (NodeId M : S.DF.iterated(QDefs)) {
         // Phis land on immediate CFG nodes only (a collapsed child has a
         // single external predecessor, its entry edge).
         if (M < S.Body.numNodes() && !S.Body.Nodes[M].IsRegion)

@@ -7,8 +7,9 @@
 //  1. Construction goldens: a hand-built graph (with a self loop and a
 //     parallel edge) pins the exact contents of all eight flat arrays.
 //  2. Iteration equivalence: on randomized CFGs every view accessor must
-//     reproduce the Cfg accessors element-for-element, ReversedCfgView
-//     must reproduce a materialized reverseCfg, and a FrozenCfg's view
+//     reproduce the Cfg accessors element-for-element, reversed() must
+//     equal the view of a materialized reverseCfg array for array (and
+//     reversing twice must give back the view), and a FrozenCfg's view
 //     must survive moves and the death of its source graph.
 //
 //===----------------------------------------------------------------------===//
@@ -109,6 +110,28 @@ TEST(CfgView, ScratchReuseAcrossGraphsOfDifferentSize) {
 // Iteration equivalence on randomized CFGs
 //===----------------------------------------------------------------------===//
 
+/// Asserts that \p A and \p B expose identical sizes, terminals and flat
+/// arrays.
+void expectSameArrays(const CfgView &A, const CfgView &B) {
+  ASSERT_EQ(A.numNodes(), B.numNodes());
+  ASSERT_EQ(A.numEdges(), B.numEdges());
+  ASSERT_EQ(A.entry(), B.entry());
+  ASSERT_EQ(A.exit(), B.exit());
+  uint32_t N = A.numNodes(), E = A.numEdges();
+  auto Same = [](const uint32_t *X, const uint32_t *Y, uint32_t Len) {
+    return std::vector<uint32_t>(X, X + Len) ==
+           std::vector<uint32_t>(Y, Y + Len);
+  };
+  EXPECT_TRUE(Same(A.succOff(), B.succOff(), N + 1));
+  EXPECT_TRUE(Same(A.predOff(), B.predOff(), N + 1));
+  EXPECT_TRUE(Same(A.succEdge(), B.succEdge(), E));
+  EXPECT_TRUE(Same(A.succTo(), B.succTo(), E));
+  EXPECT_TRUE(Same(A.predEdge(), B.predEdge(), E));
+  EXPECT_TRUE(Same(A.predFrom(), B.predFrom(), E));
+  EXPECT_TRUE(Same(A.edgeSrc(), B.edgeSrc(), E));
+  EXPECT_TRUE(Same(A.edgeDst(), B.edgeDst(), E));
+}
+
 void expectViewMatchesCfg(const Cfg &G) {
   CfgViewScratch S;
   CfgView V = CfgView::build(G, S);
@@ -139,20 +162,11 @@ void expectViewMatchesCfg(const Cfg &G) {
       ASSERT_EQ(PN[I], G.source(PE[I])) << "node " << N;
   }
 
-  // ReversedCfgView against a materialized reverseCfg: reverseCfg keeps
-  // edge ids, so succ/pred sides must swap exactly.
-  Cfg RG = reverseCfg(G);
-  ReversedCfgView RV(V);
-  ASSERT_EQ(RV.entry(), RG.entry());
-  ASSERT_EQ(RV.exit(), RG.exit());
-  for (EdgeId E = 0; E < G.numEdges(); ++E) {
-    ASSERT_EQ(RV.source(E), RG.source(E));
-    ASSERT_EQ(RV.target(E), RG.target(E));
-  }
-  for (NodeId N = 0; N < G.numNodes(); ++N) {
-    ASSERT_EQ(collect(RV.succEdges(N)), RG.succEdges(N)) << "node " << N;
-    ASSERT_EQ(collect(RV.predEdges(N)), RG.predEdges(N)) << "node " << N;
-  }
+  // reversed() against the view of a materialized reverseCfg: reverseCfg
+  // keeps node and edge ids, so the two must agree array for array.
+  FrozenCfg RV(reverseCfg(G));
+  expectSameArrays(V.reversed(), RV);
+  expectSameArrays(V.reversed().reversed(), V);
 }
 
 TEST(CfgView, IterationEquivalenceOnRandomizedCfgs) {

@@ -352,8 +352,7 @@ TEST(CorpusImageByteIdentity, MappedAnalysisMatchesInMemoryOnFullCorpus) {
     ASSERT_EQ(solveElimination(V, TL, P), solveElimination(MV, MT, P))
         << C.Fn.Name;
     DominanceFrontiers DF(V, DL);
-    ASSERT_EQ(solveOnSeg(V, DL, DF, P), solveOnSeg(MV, DL, DF, P))
-        << C.Fn.Name;
+    ASSERT_EQ(solveOnSeg(V, DF, P), solveOnSeg(MV, DF, P)) << C.Fn.Name;
     auto Keys = expressionKeys(C.Fn);
     if (!Keys.empty()) {
       BitVectorProblem Q = makeSingleExprAvailability(C.Fn, Keys.front());

@@ -94,8 +94,8 @@ TEST(LiveVariables, DeadAfterLastUse) {
   LoweredFunction F = compileOne(
       "func f(a) { var x = a; var y = x + 1; return y; }");
   BitVectorProblem P = makeLiveVariables(F);
-  Cfg R = reverseCfg(F.Graph);
-  DataflowSolution S = solveIterative(FrozenCfg(R), P);
+  FrozenCfg V(F.Graph);
+  DataflowSolution S = solveIterative(V.view().reversed(), P);
   // Backward reading of the reversed solution: Out[n] is the live-in set
   // of n. 'a' is defined in entry and used in the body block, so it is
   // live into the body; x and y are block-local and live nowhere across
@@ -110,15 +110,15 @@ TEST(LiveVariables, DeadAfterLastUse) {
     EXPECT_FALSE(S.Out[N].test(Y));
   }
   // Nothing is live out of the function exit.
-  EXPECT_TRUE(S.In[R.entry()].none());
+  EXPECT_TRUE(S.In[F.Graph.exit()].none());
 }
 
 TEST(LiveVariables, LoopKeepsCounterLive) {
   LoweredFunction F = compileOne(
       "func f(n) { var i = 0; while (i < n) { i = i + 1; } return i; }");
   BitVectorProblem P = makeLiveVariables(F);
-  Cfg R = reverseCfg(F.Graph);
-  DataflowSolution S = solveIterative(FrozenCfg(R), P);
+  FrozenCfg V(F.Graph);
+  DataflowSolution S = solveIterative(V.view().reversed(), P);
   VarId I = varOf(F, "i");
   // i is live on the backedge (used by the next header evaluation).
   uint32_t LiveBlocks = 0;
@@ -266,12 +266,12 @@ TEST_P(DataflowRandomTest, SolversAgreeOnGeneratedPrograms) {
 
   // Backward liveness: iterative vs elimination on the reversed graph.
   BitVectorProblem P = makeLiveVariables(*L);
-  Cfg Rev = reverseCfg(L->Graph);
-  FrozenCfg V(Rev);
+  FrozenCfg Fwd(L->Graph);
+  CfgView V = Fwd.view().reversed();
   ProgramStructureTree T = ProgramStructureTree::build(V);
   DataflowSolution It = solveIterative(V, P);
   DataflowSolution El = solveElimination(V, T, P);
-  for (NodeId N = 0; N < Rev.numNodes(); ++N) {
+  for (NodeId N = 0; N < V.numNodes(); ++N) {
     ASSERT_EQ(It.In[N], El.In[N]) << "seed " << GetParam();
     ASSERT_EQ(It.Out[N], El.Out[N]) << "seed " << GetParam();
   }
@@ -293,12 +293,12 @@ TEST(Qpg, BackwardLivenessSparse) {
     }
   )");
   BitVectorProblem P = makeLiveVariables(F);
-  Cfg Rev = reverseCfg(F.Graph);
-  FrozenCfg V(Rev);
+  FrozenCfg Fwd(F.Graph);
+  CfgView V = Fwd.view().reversed();
   ProgramStructureTree T = ProgramStructureTree::build(V);
   EdgeSolution Sparse = solveOnQpg(V, T, P);
   EdgeSolution Dense = edgeView(V, solveIterative(V, P));
-  for (EdgeId E = 0; E < Rev.numEdges(); ++E)
+  for (EdgeId E = 0; E < V.numEdges(); ++E)
     EXPECT_EQ(Sparse.EdgeValue[E], Dense.EdgeValue[E]) << "edge " << E;
 }
 
@@ -322,7 +322,7 @@ TEST(Seg, MembershipForSingleExpr) {
   FrozenCfg V(F.Graph);
   DomTree DT = DomTree::buildIterative(V);
   DominanceFrontiers DF(V, DT);
-  Seg S = buildSeg(V, DT, DF, P);
+  Seg S = buildSeg(V, DF, P);
   // Far fewer SEG nodes than CFG nodes; entry is node 0.
   EXPECT_LT(S.numNodes(), F.Graph.numNodes());
   EXPECT_EQ(S.Nodes[0], F.Graph.entry());
@@ -349,7 +349,7 @@ TEST(Seg, SolutionMatchesIterativeOnGoldens) {
       DomTree DT = DomTree::buildIterative(V);
       DominanceFrontiers DF(V, DT);
       DataflowSolution A = solveIterative(V, P);
-      DataflowSolution B = solveOnSeg(V, DT, DF, P);
+      DataflowSolution B = solveOnSeg(V, DF, P);
       for (NodeId N = 0; N < F.Graph.numNodes(); ++N) {
         ASSERT_EQ(A.In[N], B.In[N]) << Src << " node " << N;
         ASSERT_EQ(A.Out[N], B.Out[N]) << Src << " node " << N;
@@ -375,7 +375,7 @@ TEST_P(SegRandomTest, MatchesIterativeOnGeneratedPrograms) {
   for (BitVectorProblem P :
        {makeReachingDefs(F), makeAvailableExpressions(F)}) {
     DataflowSolution A = solveIterative(V, P);
-    DataflowSolution B = solveOnSeg(V, DT, DF, P);
+    DataflowSolution B = solveOnSeg(V, DF, P);
     for (NodeId N = 0; N < F.Graph.numNodes(); ++N) {
       ASSERT_EQ(A.In[N], B.In[N]) << "seed " << GetParam();
       ASSERT_EQ(A.Out[N], B.Out[N]) << "seed " << GetParam();

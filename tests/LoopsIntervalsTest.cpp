@@ -100,7 +100,7 @@ TEST(LoopInfo, AgreesWithPstLoopRegions) {
     LoopInfo LI(V, DT);
     ProgramStructureTree T = ProgramStructureTree::build(V);
     for (RegionId R = 1; R < T.numRegions(); ++R) {
-      if (classifyRegion(V, T, R) != RegionKind::Loop)
+      if (classifyRegion(collapseRegion(V, T, R)) != RegionKind::Loop)
         continue;
       bool HasHeader = false;
       for (NodeId N : T.allNodes(R))
@@ -212,15 +212,7 @@ TEST_P(IntervalsTheorem10, RegionBodiesReduceToOneInterval) {
     GTEST_SKIP() << "sample is irreducible";
   ProgramStructureTree T = ProgramStructureTree::build(V);
   for (RegionId Rg = 1; Rg < T.numRegions(); ++Rg) {
-    CollapsedBody B = collapseRegion(V, T, Rg);
-    Cfg Q;
-    for (uint32_t I = 0; I < B.numNodes(); ++I)
-      Q.addNode();
-    for (const auto &E : B.Edges)
-      Q.addEdge(E.Src, E.Dst);
-    Q.setEntry(B.EntryQ);
-    Q.setExit(B.ExitQ);
-    EXPECT_TRUE(isReducibleByIntervals(Q))
+    EXPECT_TRUE(isReducibleByIntervals(collapseRegion(V, T, Rg).Graph))
         << "seed " << Seed << " region " << Rg;
   }
 }

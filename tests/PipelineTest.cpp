@@ -101,7 +101,7 @@ TEST(Pipeline, DataflowSolversAgreeOnCorpus) {
     }
     DomTree DT = DomTree::buildIterative(V);
     DominanceFrontiers DF(V, DT);
-    DataflowSolution Sg = solveOnSeg(V, DT, DF, P);
+    DataflowSolution Sg = solveOnSeg(V, DF, P);
     for (NodeId N = 0; N < G.numNodes(); ++N) {
       ASSERT_EQ(It.In[N], Sg.In[N]) << C.Fn.Name;
       ASSERT_EQ(It.Out[N], Sg.Out[N]) << C.Fn.Name;

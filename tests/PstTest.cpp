@@ -122,11 +122,13 @@ TEST(Pst, PaperFigure1Kinds) {
   Cfg G = paperFigure1Cfg();
   FrozenCfg V(G);
   ProgramStructureTree T = ProgramStructureTree::build(V);
-  EXPECT_EQ(classifyRegion(V, T, T.regionEnteredBy(V, 0)),
-            RegionKind::IfThenElse);
-  EXPECT_EQ(classifyRegion(V, T, T.regionEnteredBy(V, 5)), RegionKind::Loop);
-  EXPECT_EQ(classifyRegion(V, T, T.regionEnteredBy(V, 8)), RegionKind::Block);
-  EXPECT_EQ(classifyRegion(V, T, T.regionEnteredBy(V, 1)), RegionKind::Block);
+  auto KindEnteredBy = [&](EdgeId E) {
+    return classifyRegion(collapseRegion(V, T, T.regionEnteredBy(V, E)));
+  };
+  EXPECT_EQ(KindEnteredBy(0), RegionKind::IfThenElse);
+  EXPECT_EQ(KindEnteredBy(5), RegionKind::Loop);
+  EXPECT_EQ(KindEnteredBy(8), RegionKind::Block);
+  EXPECT_EQ(KindEnteredBy(1), RegionKind::Block);
 }
 
 TEST(Pst, RegionOfNodeFigure1) {
@@ -337,15 +339,7 @@ TEST_P(Theorem10Test, RegionBodiesOfReducibleGraphsAreReducible) {
     GTEST_SKIP() << "sample is irreducible";
   ProgramStructureTree T = ProgramStructureTree::build(V);
   for (RegionId Rg = 1; Rg < T.numRegions(); ++Rg) {
-    CollapsedBody B = collapseRegion(V, T, Rg);
-    Cfg Q;
-    for (uint32_t I = 0; I < B.numNodes(); ++I)
-      Q.addNode();
-    for (const auto &E : B.Edges)
-      Q.addEdge(E.Src, E.Dst);
-    Q.setEntry(B.EntryQ);
-    Q.setExit(B.ExitQ);
-    EXPECT_TRUE(isReducible(FrozenCfg(Q)))
+    EXPECT_TRUE(isReducible(collapseRegion(V, T, Rg).view()))
         << "seed " << Seed << " region " << Rg;
   }
 }
