@@ -64,11 +64,12 @@ int main() {
   }
 
   // Region kinds drive algorithm specialization (Section 6 of the paper).
+  // Every region's collapsed body comes out of one linear pass.
   std::cout << "\nRegion kinds:\n";
+  BodyForest Bodies(V, T);
   for (RegionId R = 1; R < T.numRegions(); ++R)
     std::cout << "  region " << R << ": "
-              << regionKindName(classifyRegion(collapseRegion(V, T, R)))
-              << "\n";
+              << regionKindName(classifyRegion(Bodies.body(R))) << "\n";
 
   // Dump Graphviz for visual inspection.
   std::cout << "\nGraphviz of the CFG:\n";

@@ -19,7 +19,8 @@
 /// exit-side node, standing in for the region's entry and exit edges. So
 /// every consumer runs the library's ordinary \c CfgView kernels on it
 /// (DFS, dominators, frontiers, reducibility, the dataflow fixpoint) with
-/// no adjacency of its own.
+/// no adjacency of its own. A \c BodyForest builds every body of a tree in
+/// one linear pass and hands each out as a \c CollapsedBody view.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,57 +29,86 @@
 
 #include "pst/core/ProgramStructureTree.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
 namespace pst {
 
-/// A region body where each immediately nested region is one node, held
+/// A region body where each immediately nested region is one node, viewed
 /// as a two-terminal CFG.
 ///
 /// Layout: quotient nodes are \c 0..numNodes()-1 (the region's immediate
 /// CFG nodes in \c immediateNodes order, then its children in \c children
 /// order); \c start() feeds \c EntryQ and \c ExitQ feeds \c end(). Body
 /// edges (parallel edges and self loops preserved) take ids
-/// \c 0..numBodyEdges()-1; the two boundary edges Start -> EntryQ and
-/// ExitQ -> End take the last two ids, so every quotient node's successor
-/// order is that of its body edges, and the boundary edge trails it.
+/// \c 0..numBodyEdges()-1: the immediate nodes' in-body successor edges in
+/// \c succEdges order, then each child's exit edge in child order. The two
+/// boundary edges Start -> EntryQ and ExitQ -> End take the last two ids,
+/// so every quotient node's successor order is that of its body edges, and
+/// the boundary edge trails it.
 ///
-/// Move-only: the view points into storage the body owns.
+/// A cheap non-owning view: valid while the \c BodyForest it came from and
+/// that forest's tree live.
 struct CollapsedBody {
-  /// One quotient node: either an immediate CFG node of the region or a
-  /// collapsed child region.
-  struct QNode {
-    bool IsRegion = false;
-    NodeId Node = InvalidNode;     // Valid when !IsRegion.
-    RegionId Region = InvalidRegion; // Valid when IsRegion.
-  };
-
-  std::vector<QNode> Nodes;
   /// The body graph (entry \c start(), exit \c end()).
-  Cfg Graph;
-  /// \c Graph, frozen: what the kernels read (through \c view()).
-  FrozenCfg Frozen;
+  CfgView Graph;
+  /// The quotient nodes: the region's immediate CFG nodes, then its
+  /// children.
+  std::span<const NodeId> Imm;
+  std::span<const RegionId> Kids;
   /// Body-graph edge id -> the CFG edge it stands for. The boundary edges
   /// map to the region's entry and exit edge (InvalidEdge for the root,
   /// which has neither).
-  std::vector<EdgeId> CfgEdge;
+  std::span<const EdgeId> CfgEdge;
   /// Quotient index of the node the region's entry edge targets, and of
   /// the node its exit edge leaves. For the root region these are the CFG
   /// entry/exit.
   uint32_t EntryQ = 0, ExitQ = 0;
 
-  uint32_t numNodes() const { return static_cast<uint32_t>(Nodes.size()); }
+  uint32_t numNodes() const {
+    return static_cast<uint32_t>(Imm.size() + Kids.size());
+  }
   NodeId start() const { return numNodes(); }
   NodeId end() const { return numNodes() + 1; }
   /// Edges between quotient nodes (every edge but the two boundary ones).
   uint32_t numBodyEdges() const { return Graph.numEdges() - 2; }
-  const CfgView &view() const { return Frozen; }
+  /// True if quotient node \p Q is a collapsed child region.
+  bool isRegion(uint32_t Q) const { return Q >= Imm.size(); }
+  /// The CFG node of immediate quotient node \p Q.
+  NodeId node(uint32_t Q) const { return Imm[Q]; }
+  /// The child region of collapsed quotient node \p Q.
+  RegionId region(uint32_t Q) const { return Kids[Q - Imm.size()]; }
 };
 
-/// Builds the collapsed body of \p R. O(size of the body).
-CollapsedBody collapseRegion(const CfgView &V, const ProgramStructureTree &T,
-                             RegionId R);
+/// Every collapsed body of one tree, built in one O(N + E + R) pass.
+///
+/// The bodies partition the CFG's edges (an edge lies in the body of the
+/// smallest region holding both endpoints), so together they hold
+/// N + 3R - 1 nodes and E + 2R edges. Each edge is examined once, as a
+/// successor edge of its source's region, and its target lifts to a
+/// quotient node in O(1): itself when immediate, else the child the edge
+/// enters. The CSRs sit back to back in one \c CfgViewScratch, so a forest
+/// makes the same number of heap blocks whatever the tree's size. Valid
+/// while the tree lives; the CFG view is read only during construction.
+class BodyForest {
+public:
+  /// Builds the bodies of every region of \p T, the tree of the CFG
+  /// viewed by \p V.
+  BodyForest(const CfgView &V, const ProgramStructureTree &T);
+
+  /// The collapsed body of \p R. O(1).
+  CollapsedBody body(RegionId R) const;
+
+private:
+  const ProgramStructureTree *T;
+  /// Every body's arrays back to back: body R's offset arrays (its node
+  /// count + 2 slots each) start at immOff(R) + childOff(R) + 4R, its edge
+  /// arrays at EdgeBase[R].
+  CfgViewScratch Csr;
+  std::vector<EdgeId> CfgEdge;
+  std::vector<uint32_t> EdgeBase;
+};
 
 /// Region kinds for Figure 7. Kinds match the paper's buckets; IfThen and
 /// IfThenElse are reported separately and can be merged into the paper's

@@ -78,11 +78,23 @@ class CfgView {
 public:
   CfgView() = default;
 
-  /// Snapshots \p G into \p S and returns the view. Two passes over the
-  /// edge table: a counting pass (degrees + prefix sums) and a scatter
-  /// pass. Per-node edge order matches \c Cfg::succEdges/predEdges exactly.
-  /// O(N + E); allocation-free once \p S is warm.
+  /// Snapshots \p G into \p S and returns the view: copies the edge
+  /// endpoints, then runs \c fillCsr. Per-node edge order matches
+  /// \c Cfg::succEdges/predEdges exactly. O(N + E); allocation-free once
+  /// \p S is warm.
   static CfgView build(const Cfg &G, CfgViewScratch &S);
+
+  /// The CSR fill behind \c build, for callers that lay out many graphs in
+  /// shared buffers (the region-body forest, pst/core): given the \p E
+  /// edges' endpoints in \p EdgeSrc / \p EdgeDst, fills both sides'
+  /// offsets and segments and returns the view over the eight arrays. Each
+  /// offset array must hold \p N + 2 zeros: the spare slot is the scatter
+  /// cursor, and the first \p N + 1 slots end up as the offsets. O(N + E).
+  static CfgView fillCsr(uint32_t N, uint32_t E, NodeId Entry, NodeId Exit,
+                         uint32_t *SuccOff, uint32_t *PredOff,
+                         EdgeId *SuccEdge, NodeId *SuccTo, EdgeId *PredEdge,
+                         NodeId *PredFrom, const NodeId *EdgeSrc,
+                         const NodeId *EdgeDst);
 
   /// Wraps eight externally-owned CSR arrays (e.g. slices of a mapped
   /// corpus image, see pst/image) as a view, with no copy or validation.
@@ -179,8 +191,6 @@ private:
 /// be bound to a reference that outlives the full expression.
 class FrozenCfg {
 public:
-  /// An empty view (no nodes), to be assigned a frozen graph later.
-  FrozenCfg() = default;
   explicit FrozenCfg(const Cfg &G) : View(CfgView::build(G, Scratch)) {}
   FrozenCfg(const FrozenCfg &) = delete;
   FrozenCfg &operator=(const FrozenCfg &) = delete;

@@ -50,6 +50,14 @@ struct Diagnostic {
   }
 };
 
+/// The deepest nesting the parser accepts, counted as the recursion depth of
+/// its statement and expression rules (each of \c stmt, \c expr, unary
+/// and primary expressions is one level). Deeper input is rejected with a
+/// diagnostic naming the limit. The bound also bounds the AST's depth, so
+/// every recursive pass over it (lowering, destruction) stays within a
+/// small stack.
+inline constexpr uint32_t MaxParseDepth = 1000;
+
 /// Parses a whole compilation unit. Returns std::nullopt and at least one
 /// diagnostic on malformed input.
 std::optional<Program> parseProgram(const std::string &Source,

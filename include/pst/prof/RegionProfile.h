@@ -148,10 +148,9 @@ public:
 
 private:
   /// Static shape of one region's collapsed body, computed once up front:
-  /// the body graph, its back edges (whose traversal counts define the
-  /// iteration axis) and a topological order of the acyclic rest.
+  /// its back edges (whose traversal counts define the iteration axis) and
+  /// a topological order of the acyclic rest.
   struct RegionShape {
-    CollapsedBody Body;
     RegionKind Kind = RegionKind::Block;
     bool Cyclic = false;
     /// Per body-graph edge: a back edge of the DFS from Start.
@@ -170,6 +169,8 @@ private:
   /// BlockCost[n] = |instructions of block n| (the unit cost model: one
   /// interpreter step per instruction).
   std::vector<uint64_t> BlockCost;
+  /// Every region's collapsed body.
+  BodyForest Bodies;
   std::vector<RegionShape> Shapes;
 
   uint64_t NumRuns = 0;

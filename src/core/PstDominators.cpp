@@ -16,28 +16,17 @@ DomTree pst::buildDominatorsViaPst(const CfgView &G,
                                    const ProgramStructureTree &T) {
   std::vector<NodeId> Idom(G.numNodes(), InvalidNode);
 
+  BodyForest Bodies(G, T);
   for (RegionId R = 0; R < T.numRegions(); ++R) {
-    CollapsedBody B = collapseRegion(G, T, R);
+    CollapsedBody B = Bodies.body(R);
 
     // Local dominators of the collapsed body, rooted at its Start (which
     // stands for the region's entry edge).
-    DomTree Local = DomTree::buildIterative(B.view());
+    DomTree Local = DomTree::buildIterative(B.Graph);
 
-    // Maps a quotient node to the CFG node that dominates everything
-    // "after" it: itself for immediate nodes, the exit-edge source for a
-    // collapsed child (the last node on every path through the child).
-    auto MapDominator = [&](uint32_t QN) -> NodeId {
-      const auto &Node = B.Nodes[QN];
-      if (!Node.IsRegion)
-        return Node.Node;
-      return G.source(T.region(Node.Region).ExitEdge);
-    };
-
-    for (uint32_t QN = 0; QN < B.numNodes(); ++QN) {
-      const auto &Node = B.Nodes[QN];
-      if (Node.IsRegion)
-        continue; // The child's own solve handles its interior.
-      NodeId N = Node.Node;
+    // The children's own solves handle their interiors.
+    for (uint32_t QN = 0; QN < B.Imm.size(); ++QN) {
+      NodeId N = B.node(QN);
       if (QN == B.EntryQ) {
         // The region's entry node: dominated directly by the entry edge's
         // source (in the parent's body). The procedure entry is the global
@@ -46,9 +35,13 @@ DomTree pst::buildDominatorsViaPst(const CfgView &G,
           Idom[N] = G.source(T.region(R).EntryEdge);
         continue;
       }
-      uint32_t LocalIdom = Local.idom(QN);
-      assert(LocalIdom != InvalidNode && "body node unreachable from entry");
-      Idom[N] = MapDominator(LocalIdom);
+      uint32_t L = Local.idom(QN);
+      assert(L != InvalidNode && "body node unreachable from entry");
+      // The CFG node that dominates everything "after" quotient node L:
+      // itself for an immediate node, the exit-edge source for a collapsed
+      // child (the last node on every path through the child).
+      Idom[N] = B.isRegion(L) ? G.source(T.region(B.region(L)).ExitEdge)
+                              : B.node(L);
     }
   }
 

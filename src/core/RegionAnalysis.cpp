@@ -14,106 +14,99 @@
 
 using namespace pst;
 
-/// Maps CFG node \p N to the child-of-\p R (or \p R itself) that contains
-/// it, or InvalidRegion if N is outside R's subtree.
-static RegionId liftToChild(const ProgramStructureTree &T, RegionId R,
-                            NodeId N) {
-  RegionId Cur = T.regionOfNode(N);
-  RegionId Prev = InvalidRegion;
-  while (Cur != InvalidRegion) {
-    if (Cur == R)
-      return Prev == InvalidRegion ? R : Prev;
-    Prev = Cur;
-    Cur = T.region(Cur).Parent;
+BodyForest::BodyForest(const CfgView &V, const ProgramStructureTree &Tree)
+    : T(&Tree) {
+  const uint32_t N = V.numNodes(), NR = T->numRegions();
+  const uint32_t NumEdges = V.numEdges() + 2 * NR;
+  Csr.SuccOff.assign(N + (NR - 1) + 4 * NR, 0);
+  Csr.PredOff.assign(Csr.SuccOff.size(), 0);
+  for (std::vector<uint32_t> *A : {&Csr.SuccEdge, &Csr.SuccTo, &Csr.PredEdge,
+                                   &Csr.PredFrom, &Csr.EdgeSrc, &Csr.EdgeDst,
+                                   &CfgEdge})
+    A->resize(NumEdges);
+  EdgeBase.resize(NR + 1);
+  // Quotient index of each node in its own region's body (slots 0..N-1)
+  // and of each child region in its parent's (slots N..N+NR-1). Region R
+  // writes the slots of its own nodes and children before reading any.
+  std::vector<uint32_t> QOf(N + NR);
+
+  uint32_t Cur = 0;
+  auto AddEdge = [&](uint32_t From, uint32_t To, EdgeId E) {
+    Csr.EdgeSrc[Cur] = From;
+    Csr.EdgeDst[Cur] = To;
+    CfgEdge[Cur++] = E;
+  };
+  for (RegionId R = 0; R < NR; ++R) {
+    std::span<const NodeId> Imm = T->immediateNodes(R);
+    std::span<const RegionId> Kids = T->children(R);
+    const uint32_t NImm = static_cast<uint32_t>(Imm.size());
+    const uint32_t NQ = NImm + static_cast<uint32_t>(Kids.size());
+    for (uint32_t Q = 0; Q < NImm; ++Q)
+      QOf[Imm[Q]] = Q;
+    for (uint32_t K = 0; K < Kids.size(); ++K)
+      QOf[N + Kids[K]] = NImm + K;
+
+    // The quotient node E's target lifts to in R's body: the target itself
+    // if it is immediate in R, else the child E enters (a child's entry
+    // edge is the only edge into it). UINT32_MAX if E leaves the body.
+    auto Lift = [&](EdgeId E) {
+      NodeId To = V.target(E);
+      if (T->regionOfNode(To) == R)
+        return QOf[To];
+      RegionId C = T->regionEnteredBy(V, E);
+      return C != InvalidRegion && T->region(C).Parent == R ? QOf[N + C]
+                                                             : UINT32_MAX;
+    };
+    EdgeBase[R] = Cur;
+    for (uint32_t Q = 0; Q < NImm; ++Q)
+      for (EdgeId E : V.succEdges(Imm[Q]))
+        if (uint32_t To = Lift(E); To != UINT32_MAX)
+          AddEdge(Q, To, E);
+    // The only edge leaving a collapsed child is its exit edge (the SESE
+    // property), so that is all a child contributes.
+    for (uint32_t K = 0; K < Kids.size(); ++K) {
+      EdgeId E = T->region(Kids[K]).ExitEdge;
+      if (uint32_t To = Lift(E); To != UINT32_MAX)
+        AddEdge(NImm + K, To, E);
+    }
+
+    // The boundary edges standing in for the region's entry and exit
+    // edges. A region's entry edge targets, and its exit edge leaves, one
+    // of its immediate nodes (an edge opens and closes at most one
+    // canonical region); the CFG's entry and exit are the root's.
+    const SeseRegion &Reg = T->region(R);
+    const bool Root = R == T->root();
+    NodeId EntryN = Root ? V.entry() : V.target(Reg.EntryEdge);
+    NodeId ExitN = Root ? V.exit() : V.source(Reg.ExitEdge);
+    assert(T->regionOfNode(EntryN) == R && T->regionOfNode(ExitN) == R);
+    AddEdge(NQ, QOf[EntryN], Reg.EntryEdge);
+    AddEdge(QOf[ExitN], NQ + 1, Reg.ExitEdge);
+
+    const uint32_t O = T->immOffTable()[R] + T->childOffTable()[R] + 4 * R;
+    const uint32_t E0 = EdgeBase[R];
+    CfgView::fillCsr(NQ + 2, Cur - E0, NQ, NQ + 1, &Csr.SuccOff[O],
+                     &Csr.PredOff[O], &Csr.SuccEdge[E0], &Csr.SuccTo[E0],
+                     &Csr.PredEdge[E0], &Csr.PredFrom[E0], &Csr.EdgeSrc[E0],
+                     &Csr.EdgeDst[E0]);
   }
-  return InvalidRegion;
+  EdgeBase[NR] = Cur;
+  assert(Cur == NumEdges && "the bodies partition the CFG's edges");
 }
 
-CollapsedBody pst::collapseRegion(const CfgView &G,
-                                  const ProgramStructureTree &T, RegionId R) {
+CollapsedBody BodyForest::body(RegionId R) const {
   CollapsedBody B;
-  // (key, quotient index), sorted by key for lookup.
-  std::vector<std::pair<uint64_t, uint32_t>> QIndex;
-  auto NodeKey = [](NodeId N) { return uint64_t(N); };
-  auto RegionKey = [](RegionId Rg) { return (uint64_t(1) << 40) | Rg; };
-
-  auto AddQ = [&](uint64_t Key, bool IsRegion, NodeId N, RegionId Rg) {
-    QIndex.emplace_back(Key, static_cast<uint32_t>(B.Nodes.size()));
-    B.Nodes.push_back(CollapsedBody::QNode{IsRegion, N, Rg});
-  };
-
-  // Immediate nodes first (stable order), then child regions, then the
-  // synthetic Start and End.
-  size_t NQ = T.immediateNodes(R).size() + T.children(R).size();
-  QIndex.reserve(NQ);
-  B.Nodes.reserve(NQ);
-  for (NodeId N : T.immediateNodes(R))
-    AddQ(NodeKey(N), false, N, InvalidRegion);
-  for (RegionId C : T.children(R))
-    AddQ(RegionKey(C), true, InvalidNode, C);
-  std::sort(QIndex.begin(), QIndex.end());
-  // At most the immediate nodes' out-edges, the children's exit edges and
-  // the two boundary edges.
-  size_t MaxEdges = T.children(R).size() + 2;
-  for (NodeId N : T.immediateNodes(R))
-    MaxEdges += G.outDegree(N);
-  B.Graph.reserveNodes(B.numNodes() + 2);
-  B.Graph.reserveEdges(MaxEdges);
-  B.CfgEdge.reserve(MaxEdges);
-  for (uint32_t I = 0; I < B.numNodes() + 2; ++I)
-    B.Graph.addNode();
-
-  auto MapNode = [&](NodeId N) -> uint32_t {
-    RegionId Child = liftToChild(T, R, N);
-    if (Child == InvalidRegion)
-      return UINT32_MAX;
-    uint64_t Key = Child == R ? NodeKey(N) : RegionKey(Child);
-    return std::lower_bound(QIndex.begin(), QIndex.end(),
-                            std::pair<uint64_t, uint32_t>(Key, 0))
-        ->second;
-  };
-  auto AddEdge = [&](uint32_t QS, uint32_t QD, EdgeId E) {
-    B.Graph.addEdge(QS, QD);
-    B.CfgEdge.push_back(E);
-  };
-
-  // Collect edges whose both endpoints live in R's subtree, skipping edges
-  // internal to one collapsed child. The region's own entry/exit edges have
-  // an endpoint outside R and drop out naturally.
-  auto CollectEdge = [&](EdgeId E) {
-    uint32_t QS = MapNode(G.source(E));
-    uint32_t QD = MapNode(G.target(E));
-    if (QS == UINT32_MAX || QD == UINT32_MAX)
-      return;
-    if (QS == QD && B.Nodes[QS].IsRegion)
-      return; // Internal to the child region.
-    AddEdge(QS, QD, E);
-  };
-  for (NodeId N : T.immediateNodes(R))
-    for (EdgeId E : G.succEdges(N))
-      CollectEdge(E);
-  // The only edge leaving a collapsed child is its exit edge (the SESE
-  // property), so that is all a child node contributes.
-  for (RegionId C : T.children(R))
-    CollectEdge(T.region(C).ExitEdge);
-
-  // Entry/exit quotient nodes and the boundary edges standing in for the
-  // region's entry/exit edges.
-  EdgeId EntryEdge = InvalidEdge, ExitEdge = InvalidEdge;
-  if (R == T.root()) {
-    B.EntryQ = MapNode(G.entry());
-    B.ExitQ = MapNode(G.exit());
-  } else {
-    EntryEdge = T.region(R).EntryEdge;
-    ExitEdge = T.region(R).ExitEdge;
-    B.EntryQ = MapNode(G.target(EntryEdge));
-    B.ExitQ = MapNode(G.source(ExitEdge));
-  }
-  AddEdge(B.start(), B.EntryQ, EntryEdge);
-  AddEdge(B.ExitQ, B.end(), ExitEdge);
-  B.Graph.setEntry(B.start());
-  B.Graph.setExit(B.end());
-  B.Frozen = FrozenCfg(B.Graph);
+  B.Imm = T->immediateNodes(R);
+  B.Kids = T->children(R);
+  const uint32_t O = T->immOffTable()[R] + T->childOffTable()[R] + 4 * R;
+  const uint32_t E0 = EdgeBase[R], E = EdgeBase[R + 1] - E0;
+  B.Graph = CfgView::adopt(B.numNodes() + 2, E, B.start(), B.end(),
+                           &Csr.SuccOff[O], &Csr.PredOff[O],
+                           &Csr.SuccEdge[E0], &Csr.SuccTo[E0],
+                           &Csr.PredEdge[E0], &Csr.PredFrom[E0],
+                           &Csr.EdgeSrc[E0], &Csr.EdgeDst[E0]);
+  B.CfgEdge = std::span<const EdgeId>(CfgEdge).subspan(E0, E);
+  B.EntryQ = B.Graph.target(E - 2);
+  B.ExitQ = B.Graph.source(E - 1);
   return B;
 }
 
@@ -138,7 +131,7 @@ const char *pst::regionKindName(RegionKind K) {
 }
 
 RegionKind pst::classifyRegion(const CollapsedBody &B) {
-  const CfgView &V = B.view();
+  const CfgView &V = B.Graph;
   uint32_t N = B.numNodes();
 
   if (N == 1 && B.numBodyEdges() == 0)
@@ -193,6 +186,7 @@ uint32_t pst::regionWeight(const ProgramStructureTree &T, RegionId R) {
 
 std::string pst::formatPst(const Cfg &G, const ProgramStructureTree &T) {
   FrozenCfg V(G);
+  BodyForest Bodies(V, T);
   std::ostringstream OS;
   // Depth-first print of the region tree.
   std::vector<std::pair<RegionId, uint32_t>> Stack{{T.root(), 0}};
@@ -209,7 +203,7 @@ std::string pst::formatPst(const Cfg &G, const ProgramStructureTree &T) {
          << G.nodeName(G.target(Reg.EntryEdge)) << ", "
          << G.nodeName(G.source(Reg.ExitEdge)) << "->"
          << G.nodeName(G.target(Reg.ExitEdge)) << ") "
-         << regionKindName(classifyRegion(collapseRegion(V, T, R)));
+         << regionKindName(classifyRegion(Bodies.body(R)));
     }
     OS << " [nodes:";
     for (NodeId N : T.immediateNodes(R))

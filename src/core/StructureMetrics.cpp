@@ -16,8 +16,9 @@ PstStats pst::computePstStats(const CfgView &G,
   S.NumRegions = T.numCanonicalRegions();
 
   double DepthSum = 0;
+  BodyForest Bodies(G, T);
   for (RegionId R = 0; R < T.numRegions(); ++R) {
-    CollapsedBody B = collapseRegion(G, T, R);
+    CollapsedBody B = Bodies.body(R);
     S.MaxRegionSize = std::max(S.MaxRegionSize, B.numNodes());
     if (R == T.root())
       continue;

@@ -85,11 +85,10 @@ DataflowSolution solveBody(const CollapsedBody &B, std::span<const NodeId> RPO,
   auto TransferQ = [&](NodeId Q) -> const GenKill * {
     if (Q >= B.numNodes())
       return nullptr; // Start and End pass the value through.
-    const CollapsedBody::QNode &Node = B.Nodes[Q];
-    return Node.IsRegion ? &ChildSummary[Node.Region] : &P.Transfer[Node.Node];
+    return B.isRegion(Q) ? &ChildSummary[B.region(Q)] : &P.Transfer[B.node(Q)];
   };
   uint64_t Passes = 0;
-  return solveFixpoint(B.view(), RPO, EntryValue, P.Meet, TransferQ, Passes);
+  return solveFixpoint(B.Graph, RPO, EntryValue, P.Meet, TransferQ, Passes);
 }
 
 } // namespace
@@ -115,31 +114,20 @@ DataflowSolution pst::solveElimination(const CfgView &G,
   uint32_t NumRegions = T.numRegions();
 
   // Collapsed bodies and their sweep orders, built once per region.
-  std::vector<CollapsedBody> Bodies(NumRegions);
+  BodyForest Bodies(G, T);
   std::vector<std::vector<NodeId>> BodyRPO(NumRegions);
-  for (RegionId R = 0; R < NumRegions; ++R) {
-    Bodies[R] = collapseRegion(G, T, R);
-    BodyRPO[R] = reversePostOrder(Bodies[R].view());
-  }
-
-  // Regions in bottom-up (children before parents) order: depths descend.
-  std::vector<RegionId> Order(NumRegions);
   for (RegionId R = 0; R < NumRegions; ++R)
-    Order[R] = R;
-  std::sort(Order.begin(), Order.end(), [&](RegionId A, RegionId B) {
-    return T.region(A).Depth > T.region(B).Depth;
-  });
+    BodyRPO[R] = reversePostOrder(Bodies.body(R).Graph);
 
   // Phase 1 (bottom-up): summarize each region's entry->exit behaviour as
   // gen/kill, probing the body with the empty and the full set. Per bit
   // the body function is const0, const1 or identity, so two probes pin it
-  // down: f(x) = f(empty) | (x & f(full)).
+  // down: f(x) = f(empty) | (x & f(full)). Region ids are a preorder, so
+  // descending ids visit every child before its parent.
   std::vector<GenKill> Summary(NumRegions);
   BitVector Empty(P.NumBits, false), Full(P.NumBits, true);
-  for (RegionId R : Order) {
-    if (R == T.root())
-      continue;
-    const CollapsedBody &B = Bodies[R];
+  for (RegionId R = NumRegions - 1; R != T.root(); --R) {
+    CollapsedBody B = Bodies.body(R);
     BitVector F0 = solveBody(B, BodyRPO[R], P, Summary, Empty).Out[B.ExitQ];
     BitVector F1 = solveBody(B, BodyRPO[R], P, Summary, Full).Out[B.ExitQ];
     Summary[R].Gen = F0;
@@ -149,27 +137,24 @@ DataflowSolution pst::solveElimination(const CfgView &G,
     Summary[R].Kill.subtract(F1);
   }
 
-  // Phase 2 (top-down): concrete values. A child's entry value is its
-  // quotient node's IN in the parent's concrete solve (a child has exactly
-  // one external incoming edge: its entry edge).
+  // Phase 2 (top-down, ascending ids): concrete values. A child's entry
+  // value is its quotient node's IN in the parent's concrete solve (a
+  // child has exactly one external incoming edge: its entry edge).
   DataflowSolution S;
   S.In.assign(G.numNodes(), P.top());
   S.Out.assign(G.numNodes(), P.top());
 
   std::vector<BitVector> EntryValue(NumRegions, P.top());
   EntryValue[T.root()] = P.Boundary;
-  // Top-down = reverse of bottom-up order.
-  for (auto It = Order.rbegin(); It != Order.rend(); ++It) {
-    RegionId R = *It;
-    const CollapsedBody &B = Bodies[R];
+  for (RegionId R = 0; R < NumRegions; ++R) {
+    CollapsedBody B = Bodies.body(R);
     DataflowSolution BS = solveBody(B, BodyRPO[R], P, Summary, EntryValue[R]);
     for (uint32_t Q = 0; Q < B.numNodes(); ++Q) {
-      const auto &Node = B.Nodes[Q];
-      if (Node.IsRegion) {
-        EntryValue[Node.Region] = BS.In[Q];
+      if (B.isRegion(Q)) {
+        EntryValue[B.region(Q)] = BS.In[Q];
       } else {
-        S.In[Node.Node] = BS.In[Q];
-        S.Out[Node.Node] = BS.Out[Q];
+        S.In[B.node(Q)] = BS.In[Q];
+        S.Out[B.node(Q)] = BS.Out[Q];
       }
     }
   }

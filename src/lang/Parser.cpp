@@ -58,6 +58,23 @@ private:
       Diags->push_back(Diagnostic{cur().Line, cur().Col, std::move(Msg)});
   }
 
+  /// One level of rule recursion, held for the rule's scope. False, after
+  /// a diagnostic, once the input nests deeper than MaxParseDepth.
+  class DepthGuard {
+  public:
+    explicit DepthGuard(Parser &P) : P(P) {
+      if (++P.Depth > MaxParseDepth)
+        P.error("nesting exceeds the parser's depth limit of " +
+                std::to_string(MaxParseDepth));
+    }
+    DepthGuard(const DepthGuard &) = delete;
+    ~DepthGuard() { --P.Depth; }
+    explicit operator bool() const { return P.Depth <= MaxParseDepth; }
+
+  private:
+    Parser &P;
+  };
+
   // -- Grammar -------------------------------------------------------------
   std::optional<Function> parseFunction() {
     Function F;
@@ -113,6 +130,9 @@ private:
   }
 
   std::optional<StmtPtr> parseStmt() {
+    DepthGuard Level(*this);
+    if (!Level)
+      return std::nullopt;
     uint32_t Line = cur().Line;
     switch (cur().Kind) {
     case TokKind::LBrace:
@@ -448,6 +468,9 @@ private:
   }
 
   std::optional<ExprPtr> parseExpr(int MinPrec = 1) {
+    DepthGuard Level(*this);
+    if (!Level)
+      return std::nullopt;
     auto Lhs = parseUnary();
     if (!Lhs)
       return std::nullopt;
@@ -465,6 +488,9 @@ private:
   }
 
   std::optional<ExprPtr> parseUnary() {
+    DepthGuard Level(*this);
+    if (!Level)
+      return std::nullopt;
     if (at(TokKind::Minus) || at(TokKind::Not)) {
       Token Op = advance();
       auto Operand = parseUnary();
@@ -477,6 +503,9 @@ private:
   }
 
   std::optional<ExprPtr> parsePrimary() {
+    DepthGuard Level(*this);
+    if (!Level)
+      return std::nullopt;
     switch (cur().Kind) {
     case TokKind::Number: {
       Token T = advance();
@@ -522,6 +551,7 @@ private:
   std::vector<Token> Toks;
   std::vector<Diagnostic> *Diags;
   size_t Pos = 0;
+  uint32_t Depth = 0;
 };
 
 } // namespace

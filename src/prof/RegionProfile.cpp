@@ -11,13 +11,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 using namespace pst;
 
 RegionProfile::RegionProfile(const LoweredFunction &Fn,
                              const ProgramStructureTree &Tree)
-    : F(&Fn), T(&Tree) {
+    : F(&Fn), T(&Tree), Bodies(FrozenCfg(Fn.Graph), Tree) {
   const Cfg &G = F->Graph;
   BlockCost.resize(G.numNodes());
   for (NodeId N = 0; N < G.numNodes(); ++N)
@@ -29,22 +28,20 @@ RegionProfile::RegionProfile(const LoweredFunction &Fn,
 }
 
 void RegionProfile::computeShapes() {
-  FrozenCfg V(F->Graph);
   Shapes.resize(T->numRegions());
   for (RegionId R = 0; R < T->numRegions(); ++R) {
     RegionShape &S = Shapes[R];
-    S.Body = collapseRegion(V, *T, R);
-    S.Kind = classifyRegion(S.Body);
+    CollapsedBody B = Bodies.body(R);
+    S.Kind = classifyRegion(B);
 
     // Classify the body edges by one DFS from Start. Removing the back
     // edges leaves the acyclic skeleton, and reverse postorder is a
     // topological order of it.
-    const CfgView &BV = S.Body.view();
-    DfsResult Dfs = depthFirstSearch(BV, S.Body.start());
-    S.IsBack = backEdges(BV, Dfs);
-    for (EdgeId E = 0; E < S.Body.numBodyEdges(); ++E)
+    DfsResult Dfs = depthFirstSearch(B.Graph, B.start());
+    S.IsBack = backEdges(B.Graph, Dfs);
+    for (EdgeId E = 0; E < B.numBodyEdges(); ++E)
       if (S.IsBack[E])
-        S.BackCfgEdges.push_back(S.Body.CfgEdge[E]);
+        S.BackCfgEdges.push_back(B.CfgEdge[E]);
     S.Cyclic = !S.BackCfgEdges.empty();
     S.Topo.assign(Dfs.Postorder.rbegin(), Dfs.Postorder.rend());
   }
@@ -118,17 +115,11 @@ void RegionProfile::finalize() {
     }
   }
 
-  // Pass 2, innermost regions first (depth descending, id ascending within
-  // a depth): inclusive costs and the weighted-DAG span. When a region is
-  // processed every deeper region already carries its InclusiveCost, so a
-  // collapsed child can be priced as one serial unit.
-  std::vector<RegionId> ByDepth(NR);
-  std::iota(ByDepth.begin(), ByDepth.end(), 0);
-  std::stable_sort(ByDepth.begin(), ByDepth.end(), [&](RegionId A, RegionId B) {
-    return T->region(A).Depth > T->region(B).Depth;
-  });
-
-  for (RegionId R : ByDepth) {
+  // Pass 2, children before parents (region ids are a preorder, so
+  // descending ids): inclusive costs and the weighted-DAG span. A region
+  // reads only its children's InclusiveCost, so a collapsed child can be
+  // priced as one serial unit.
+  for (RegionId R = NR; R-- > 0;) {
     RegionDynamics &D = Dyn[R];
     const RegionShape &S = Shapes[R];
     D.InclusiveCost = D.SelfCost;
@@ -143,15 +134,14 @@ void RegionProfile::finalize() {
     // contributes its dynamic instructions; a collapsed child contributes
     // its inclusive cost (serial — its own parallelism is *its* score).
     // Start and End weigh nothing.
-    const CfgView &BV = S.Body.view();
-    std::vector<double> Weight(BV.numNodes(), 0.0), Depth(BV.numNodes(), 0.0);
-    for (uint32_t Q = 0; Q < S.Body.numNodes(); ++Q) {
-      const CollapsedBody::QNode &QN = S.Body.Nodes[Q];
-      Weight[Q] = QN.IsRegion
-                      ? static_cast<double>(Dyn[QN.Region].InclusiveCost)
-                      : static_cast<double>(BlockTotal[QN.Node] *
-                                            BlockCost[QN.Node]);
-    }
+    CollapsedBody B = Bodies.body(R);
+    std::vector<double> Weight(B.Graph.numNodes(), 0.0);
+    std::vector<double> Depth(Weight.size(), 0.0);
+    for (uint32_t Q = 0; Q < B.numNodes(); ++Q)
+      Weight[Q] = B.isRegion(Q)
+                      ? static_cast<double>(Dyn[B.region(Q)].InclusiveCost)
+                      : static_cast<double>(BlockTotal[B.node(Q)] *
+                                            BlockCost[B.node(Q)]);
     // Longest path over the acyclic skeleton in topological order. The
     // per-node weights are workload totals, so the result is the total
     // critical-path length summed over all entries (for cyclic regions:
@@ -160,9 +150,9 @@ void RegionProfile::finalize() {
     double Longest = 0.0;
     for (NodeId Q : S.Topo) {
       double Best = 0.0;
-      for (EdgeId E : BV.predEdges(Q))
+      for (EdgeId E : B.Graph.predEdges(Q))
         if (!S.IsBack[E])
-          Best = std::max(Best, Depth[BV.source(E)]);
+          Best = std::max(Best, Depth[B.Graph.source(E)]);
       Depth[Q] = Best + Weight[Q];
       Longest = std::max(Longest, Depth[Q]);
     }

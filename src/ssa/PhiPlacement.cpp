@@ -42,17 +42,15 @@ PhiPlacement pst::placePhisClassic(const LoweredFunction &F,
 
 namespace {
 
-/// Per-region quotient machinery cached across variables: the collapsed
-/// body (a CFG whose Start stands for the region entry) and its dominator
-/// tree and dominance frontiers.
+/// Per-region quotient machinery cached across variables: the dominator
+/// tree and dominance frontiers of the collapsed body (a CFG whose Start
+/// stands for the region entry).
 struct RegionSolver {
-  CollapsedBody Body;
   DomTree DT;
   DominanceFrontiers DF;
 
-  RegionSolver(const CfgView &G, const ProgramStructureTree &T, RegionId R)
-      : Body(collapseRegion(G, T, R)),
-        DT(DomTree::buildIterative(Body.view())), DF(Body.view(), DT) {}
+  explicit RegionSolver(const CfgView &Body)
+      : DT(DomTree::buildIterative(Body)), DF(Body, DT) {}
 };
 
 } // namespace
@@ -68,13 +66,10 @@ PhiPlacement pst::placePhisPst(const LoweredFunction &F, const CfgView &G,
   P.RegionsExamined.resize(F.numVars());
   P.RegionsTotal = NumRegions;
 
-  // Lazily built per-region solvers, shared across variables.
+  // Every region's body, and lazily built per-region solvers shared
+  // across variables.
+  BodyForest Bodies(G, T);
   std::vector<std::optional<RegionSolver>> Solvers(NumRegions);
-  auto SolverFor = [&](RegionId R) -> RegionSolver & {
-    if (!Solvers[R])
-      Solvers[R].emplace(G, T, R);
-    return *Solvers[R];
-  };
 
   // Epoch-stamped mark array, reused per variable.
   std::vector<uint32_t> MarkEpoch(NumRegions, 0);
@@ -114,22 +109,22 @@ PhiPlacement pst::placePhisPst(const LoweredFunction &F, const CfgView &G,
     // Steps 2+3: solve each marked region on its collapsed body.
     std::vector<NodeId> Phis;
     for (RegionId R : Marked) {
-      RegionSolver &S = SolverFor(R);
+      CollapsedBody B = Bodies.body(R);
+      if (!Solvers[R])
+        Solvers[R].emplace(B.Graph);
       // Definition sites in the quotient: Start (the region entry acts as
       // a definition), immediate def blocks, and marked children (a
       // collapsed child containing a def is one definition).
-      std::vector<NodeId> QDefs{S.Body.start()};
-      for (uint32_t I = 0; I < S.Body.numNodes(); ++I) {
-        const auto &N = S.Body.Nodes[I];
-        if (N.IsRegion ? MarkEpoch[N.Region] == Epoch
-                       : DefEpoch[N.Node] == Epoch)
+      std::vector<NodeId> QDefs{B.start()};
+      for (uint32_t I = 0; I < B.numNodes(); ++I)
+        if (B.isRegion(I) ? MarkEpoch[B.region(I)] == Epoch
+                          : DefEpoch[B.node(I)] == Epoch)
           QDefs.push_back(I);
-      }
-      for (NodeId M : S.DF.iterated(QDefs)) {
+      for (NodeId M : Solvers[R]->DF.iterated(QDefs)) {
         // Phis land on immediate CFG nodes only (a collapsed child has a
         // single external predecessor, its entry edge).
-        if (M < S.Body.numNodes() && !S.Body.Nodes[M].IsRegion)
-          Phis.push_back(S.Body.Nodes[M].Node);
+        if (M < B.numNodes() && !B.isRegion(M))
+          Phis.push_back(B.node(M));
       }
     }
     std::sort(Phis.begin(), Phis.end());

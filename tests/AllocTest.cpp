@@ -12,6 +12,8 @@
 //   ProgramStructureTree::build           1 (the tree's buffer)
 //   computeControlRegionsLinearImplicit   1 (the partition)
 //   copy of a built tree                  1 (the copy's buffer)
+//   BodyForest                           11 (its flat buffers and one
+//                                            scratch), at any tree size
 //
 // A serving bundle is gated on what it keeps rather than what its build
 // makes: a window that records each allocation's address and size, and
@@ -26,8 +28,10 @@
 
 #include "pst/cdg/ControlRegions.h"
 #include "pst/core/ProgramStructureTree.h"
+#include "pst/core/RegionAnalysis.h"
 #include "pst/runtime/BatchAnalyzer.h"
 #include "pst/serve/DerivedCache.h"
+#include "pst/workload/CfgGenerators.h"
 #include "pst/workload/Corpus.h"
 #include "pst/workload/CorpusStream.h"
 
@@ -208,6 +212,22 @@ TEST(AllocGate, CopyOfBuiltTreeMakesOneAndAdoptedCopyNone) {
   expectEvery(Copy, 1);
   expectEvery(Moves, 0);
   expectEvery(Adopted, 0);
+}
+
+TEST(AllocGate, BodyForestMakesFixedBlocks) {
+  // A two-region tree (the root and one block) and a tree of 301 nested
+  // regions build their forests in the same, fixed number of blocks.
+  std::vector<uint64_t> Counts, Regions;
+  for (const Cfg &G : {chainCfg(1), nestedRepeatUntilCfg(300)}) {
+    FrozenCfg V(G);
+    ProgramStructureTree T = ProgramStructureTree::build(V);
+    Regions.push_back(T.numRegions());
+    uint64_t Before = allocs();
+    BodyForest F(V, T);
+    Counts.push_back(allocs() - Before);
+  }
+  EXPECT_EQ(Regions, (std::vector<uint64_t>{2, 301}));
+  expectEvery(Counts, 11);
 }
 
 TEST(AllocGate, BundleRetainsFixedBlockCount) {

@@ -175,6 +175,47 @@ TEST(Parser, FormatRoundTrips) {
   EXPECT_EQ(Printed, formatFunction(P2->Functions[0]));
 }
 
+static std::string repeat(const std::string &S, size_t N) {
+  std::string Out;
+  Out.reserve(S.size() * N);
+  for (size_t I = 0; I < N; ++I)
+    Out += S;
+  return Out;
+}
+
+static void expectDepthLimitDiagnostic(const std::string &Src) {
+  std::vector<Diagnostic> Diags = expectCompileError(Src);
+  ASSERT_EQ(Diags.size(), 1u);
+  EXPECT_NE(Diags[0].Message.find("depth limit of " +
+                                  std::to_string(MaxParseDepth)),
+            std::string::npos)
+      << Diags[0].str();
+}
+
+TEST(Parser, DeepNestingIsDiagnosedNotACrash) {
+  // Each shape recursed once per level before the bound, deep enough to
+  // overflow the stack.
+  expectDepthLimitDiagnostic("func f(x) { return " + repeat("(", 20000) + "x" +
+                             repeat(")", 20000) + "; }");
+  expectDepthLimitDiagnostic("func f(x) { " + repeat("if (x) ", 20000) +
+                             "x = 1; }");
+  expectDepthLimitDiagnostic("func f(x) { " + repeat("{ ", 200000) +
+                             repeat("} ", 200000) + "}");
+  expectDepthLimitDiagnostic("func f(x) { return " + repeat("- ", 200000) +
+                             "x; }");
+}
+
+TEST(Parser, NestingAtTheDepthLimitCompiles) {
+  // 'return' is one level, its expression one, the first unary one, each
+  // '-' one more and the primary one: K minus signs nest K + 4 deep.
+  auto Unary = [](size_t K) {
+    return "func f(x) { return " + repeat("- ", K) + "x; }";
+  };
+  LoweredFunction F = compileOne(Unary(MaxParseDepth - 4));
+  EXPECT_TRUE(validateCfg(F.Graph));
+  expectDepthLimitDiagnostic(Unary(MaxParseDepth - 3));
+}
+
 //===----------------------------------------------------------------------===//
 // Lowering
 //===----------------------------------------------------------------------===//

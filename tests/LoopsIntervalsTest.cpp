@@ -14,6 +14,8 @@
 #include "pst/graph/CfgAlgorithms.h"
 #include "pst/workload/CfgGenerators.h"
 
+#include "CfgOfView.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -99,8 +101,9 @@ TEST(LoopInfo, AgreesWithPstLoopRegions) {
     DomTree DT = DomTree::buildIterative(V);
     LoopInfo LI(V, DT);
     ProgramStructureTree T = ProgramStructureTree::build(V);
+    BodyForest Bodies(V, T);
     for (RegionId R = 1; R < T.numRegions(); ++R) {
-      if (classifyRegion(collapseRegion(V, T, R)) != RegionKind::Loop)
+      if (classifyRegion(Bodies.body(R)) != RegionKind::Loop)
         continue;
       bool HasHeader = false;
       for (NodeId N : T.allNodes(R))
@@ -211,8 +214,9 @@ TEST_P(IntervalsTheorem10, RegionBodiesReduceToOneInterval) {
   if (!isReducible(V))
     GTEST_SKIP() << "sample is irreducible";
   ProgramStructureTree T = ProgramStructureTree::build(V);
+  BodyForest Bodies(V, T);
   for (RegionId Rg = 1; Rg < T.numRegions(); ++Rg) {
-    EXPECT_TRUE(isReducibleByIntervals(collapseRegion(V, T, Rg).Graph))
+    EXPECT_TRUE(isReducibleByIntervals(cfgOfView(Bodies.body(Rg).Graph)))
         << "seed " << Seed << " region " << Rg;
   }
 }

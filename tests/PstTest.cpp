@@ -122,8 +122,9 @@ TEST(Pst, PaperFigure1Kinds) {
   Cfg G = paperFigure1Cfg();
   FrozenCfg V(G);
   ProgramStructureTree T = ProgramStructureTree::build(V);
+  BodyForest Bodies(V, T);
   auto KindEnteredBy = [&](EdgeId E) {
-    return classifyRegion(collapseRegion(V, T, T.regionEnteredBy(V, E)));
+    return classifyRegion(Bodies.body(T.regionEnteredBy(V, E)));
   };
   EXPECT_EQ(KindEnteredBy(0), RegionKind::IfThenElse);
   EXPECT_EQ(KindEnteredBy(5), RegionKind::Loop);
@@ -190,11 +191,11 @@ TEST(Pst, CollapsedBodyOfRootDiamond) {
   Cfg G = diamondLadderCfg(1);
   FrozenCfg V(G);
   ProgramStructureTree T = ProgramStructureTree::build(V);
-  CollapsedBody B = collapseRegion(V, T, T.root());
+  BodyForest Bodies(V, T);
+  CollapsedBody B = Bodies.body(T.root());
   // Root body: entry, exit, plus collapsed top-level regions.
   EXPECT_GE(B.numNodes(), 3u);
-  EXPECT_TRUE(B.Nodes[B.EntryQ].Node == G.entry() ||
-              B.Nodes[B.EntryQ].IsRegion);
+  EXPECT_TRUE(B.isRegion(B.EntryQ) || B.node(B.EntryQ) == G.entry());
 }
 
 TEST(Pst, FormatPstMentionsRegions) {
@@ -338,8 +339,9 @@ TEST_P(Theorem10Test, RegionBodiesOfReducibleGraphsAreReducible) {
   if (!isReducible(V))
     GTEST_SKIP() << "sample is irreducible";
   ProgramStructureTree T = ProgramStructureTree::build(V);
+  BodyForest Bodies(V, T);
   for (RegionId Rg = 1; Rg < T.numRegions(); ++Rg) {
-    EXPECT_TRUE(isReducible(collapseRegion(V, T, Rg).view()))
+    EXPECT_TRUE(isReducible(Bodies.body(Rg).Graph))
         << "seed " << Seed << " region " << Rg;
   }
 }
