@@ -49,6 +49,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -66,7 +67,7 @@ public:
     for (int I = 0; I < 4; ++I)
       byte(static_cast<uint8_t>(V >> (8 * I)));
   }
-  void add(const std::vector<uint32_t> &V) {
+  void add(std::span<const uint32_t> V) {
     add(V.size());
     for (uint32_t X : V)
       add(X);
@@ -211,6 +212,12 @@ digestStages(const std::vector<Procedure> &Procs) {
                                                   CES);
     D["cycleequiv.classes"].add(CE.NumClasses);
     D["cycleequiv.classes"].add(CE.EdgeClass);
+    // The partial-T(S) run that analyzeFunction and the control-region
+    // kernel use: raw edge and node class ids, before any densifying.
+    CycleEquivClasses PT = computeCycleEquivalencePartialTs(V, CES);
+    D["cycleequiv.partial_ts"].add(PT.NumClasses);
+    D["cycleequiv.partial_ts"].add(PT.EdgeClass);
+    D["cycleequiv.partial_ts"].add(PT.NodeClass);
 
     // PST: the printed outline (shape, node assignment, region kinds),
     // the figure measurements and the divide-and-conquer dominator tree
