@@ -6,6 +6,7 @@
 
 #include "pst/serve/Protocol.h"
 
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -38,7 +39,10 @@ bool parseU64(std::string_view S, uint64_t &Out) {
   for (char C : S) {
     if (C < '0' || C > '9')
       return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
+    uint64_t Digit = static_cast<uint64_t>(C - '0');
+    if (Out > (UINT64_MAX - Digit) / 10)
+      return false; // Would wrap: 2^64 + k must not alias k.
+    Out = Out * 10 + Digit;
   }
   return true;
 }
@@ -121,20 +125,19 @@ ParsedLine pst::serve::parseLine(std::string_view Line) {
     } else if (Cmd == "phi") {
       if (!NeedArgs(2))
         return invalid("usage: phi <fn> <n1,n2,...>");
+      // Every comma-separated token must be a node, so a leading, doubled
+      // or trailing comma (an empty token) is rejected.
       std::string_view Defs = T[2];
-      while (!Defs.empty()) {
+      for (;;) {
         size_t Comma = Defs.find(',');
-        std::string_view Tok = Defs.substr(0, Comma);
         NodeId N = InvalidNode;
-        if (!parseNode(Tok, N))
+        if (!parseNode(Defs.substr(0, Comma), N))
           return invalid("phi: bad def list");
         L.Q.Defs.push_back(N);
         if (Comma == std::string_view::npos)
           break;
         Defs.remove_prefix(Comma + 1);
       }
-      if (L.Q.Defs.empty())
-        return invalid("phi: bad def list");
       L.Q.Kind = RequestKind::Phi;
     } else { // name
       if (!NeedArgs(1))

@@ -642,6 +642,39 @@ TEST(ProtocolTest, ParsesQueriesEditsAndBarriers) {
   EXPECT_EQ(parseLine("edit 1 teleport 0 1").Q.Kind, RequestKind::Invalid);
 }
 
+TEST(ProtocolTest, RejectsNumbersPastU64) {
+  // 2^64 - 1 still parses as a function id; 2^64 and 2^64 + 3 used to wrap
+  // to 0 and 3 and answer for function 0 or node 3.
+  ParsedLine L = parseLine("name 18446744073709551615");
+  EXPECT_EQ(L.Q.Kind, RequestKind::Name);
+  EXPECT_EQ(L.Q.Fn, UINT64_MAX);
+  for (const char *Line :
+       {"dom 18446744073709551616 3", "name 18446744073709551619",
+        "regions 99999999999999999999999", "dom 0 18446744073709551619",
+        "cdep 0 18446744073709551616", "region 0 1 18446744073709551618",
+        "phi 0 2,18446744073709551619",
+        "edit 18446744073709551616 insert 0 1"}) {
+    L = parseLine(Line);
+    EXPECT_EQ(L.Kind, ParsedLine::Type::Query) << Line;
+    EXPECT_EQ(L.Q.Kind, RequestKind::Invalid) << Line;
+  }
+  EXPECT_EQ(parseLine("dom 18446744073709551616 3").Q.Error,
+            "usage: dom <fn> ...");
+  EXPECT_EQ(parseLine("dom 0 18446744073709551619").Q.Error,
+            "usage: dom <fn> <node>");
+}
+
+TEST(ProtocolTest, RejectsEmptyDefTokens) {
+  for (const char *Line : {"phi 0 3,", "phi 0 ,3", "phi 0 3,,4", "phi 0 ,"}) {
+    ParsedLine L = parseLine(Line);
+    EXPECT_EQ(L.Q.Kind, RequestKind::Invalid) << Line;
+    EXPECT_EQ(L.Q.Error, "phi: bad def list") << Line;
+  }
+  ParsedLine L = parseLine("phi 0 3");
+  EXPECT_EQ(L.Q.Kind, RequestKind::Phi);
+  EXPECT_EQ(L.Q.Defs, (std::vector<NodeId>{3}));
+}
+
 std::string runScript(PstServer &Server, const std::string &Script,
                       size_t MaxBatch) {
   std::istringstream In(Script);
