@@ -61,7 +61,7 @@ std::optional<Cfg> pst::parseCfgText(std::istream &IS, std::string *Error) {
   while (std::getline(IS, Line)) {
     ++LineNo;
     std::istringstream LS(Line);
-    std::string Kw;
+    std::string Kw, Extra;
     if (!(LS >> Kw) || Kw[0] == '#')
       continue;
     std::string Where = "line " + std::to_string(LineNo) + ": ";
@@ -80,19 +80,28 @@ std::optional<Cfg> pst::parseCfgText(std::istream &IS, std::string *Error) {
       NodeId N = G.addNode(Label);
       ByLabel[Label] = N;
       if (LS >> Role) {
-        if (Role == "entry")
-          G.setEntry(N);
-        else if (Role == "exit")
-          G.setExit(N);
-        else
+        bool IsEntry = Role == "entry";
+        if (!IsEntry && Role != "exit")
           return Fail(Where + "unknown node role '" + Role + "'");
+        NodeId Prev = IsEntry ? G.entry() : G.exit();
+        if (Prev != InvalidNode)
+          return Fail(Where + "second " + Role + " node '" + Label + "' ('" +
+                      G.nodeName(Prev) + "' is already the " + Role + ")");
+        if (IsEntry)
+          G.setEntry(N);
+        else
+          G.setExit(N);
       }
+      if (LS >> Extra)
+        return Fail(Where + "unexpected token '" + Extra + "' on node line");
       continue;
     }
     if (Kw == "edge") {
       std::string A, B;
       if (!(LS >> A >> B))
         return Fail(Where + "edge line needs two labels");
+      if (LS >> Extra)
+        return Fail(Where + "unexpected token '" + Extra + "' on edge line");
       auto IA = ByLabel.find(A), IB = ByLabel.find(B);
       if (IA == ByLabel.end())
         return Fail(Where + "unknown node '" + A + "'");

@@ -234,6 +234,29 @@ TEST(CfgIO, ParseRejectsDuplicateLabel) {
   EXPECT_NE(Error.find("duplicate"), std::string::npos);
 }
 
+TEST(CfgIO, ParseRejectsSecondEntryOrExit) {
+  std::string Error;
+  auto R = parseCfgText(
+      "cfg x\nnode a entry\nnode b entry\nnode c exit\nend\n", &Error);
+  EXPECT_FALSE(R.has_value());
+  EXPECT_EQ(Error, "line 3: second entry node 'b' ('a' is already the entry)");
+  R = parseCfgText("cfg x\nnode a entry\nnode b exit\nnode c exit\nend\n",
+                   &Error);
+  EXPECT_FALSE(R.has_value());
+  EXPECT_EQ(Error, "line 4: second exit node 'c' ('b' is already the exit)");
+}
+
+TEST(CfgIO, ParseRejectsTrailingTokens) {
+  std::string Error;
+  auto R = parseCfgText(
+      "cfg x\nnode a entry\nnode c exit\nedge a c garbage\nend\n", &Error);
+  EXPECT_FALSE(R.has_value());
+  EXPECT_EQ(Error, "line 4: unexpected token 'garbage' on edge line");
+  R = parseCfgText("cfg x\nnode a entry exit\nend\n", &Error);
+  EXPECT_FALSE(R.has_value());
+  EXPECT_EQ(Error, "line 2: unexpected token 'exit' on node line");
+}
+
 TEST(CfgIO, ParseRejectsMissingEnd) {
   std::string Error;
   auto R = parseCfgText("cfg x\nnode a entry\n", &Error);
