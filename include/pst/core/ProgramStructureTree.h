@@ -17,10 +17,13 @@
 ///
 /// Construction (Section 3.6): compute edge cycle equivalence classes on
 /// G + (end -> start); within a class, edges are totally ordered by
-/// dominance and a directed DFS from entry visits them in that order, so
-/// consecutive pairs are the canonical regions. The same DFS discovers
-/// nesting: entering a region's entry edge makes it the current region and
-/// the previous current region its parent.
+/// dominance and a directed DFS from entry traverses them in that order,
+/// so consecutive pairs are the canonical regions. One such DFS pairs,
+/// nests and places at once: a traversed edge closes the region its
+/// class's previous edge opened (the current region pops to that region's
+/// parent) and, unless it is its class's last edge, opens the next region
+/// with the current region as parent; each node lands in the region
+/// current when the DFS first reaches it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,29 +64,23 @@ struct SeseRegion {
 /// Reusable working memory for PST construction.
 ///
 /// Owns the cycle-equivalence solver scratch (whose classes \c build
-/// consumes in place) and the builder's own transients: the
-/// edge-traversal clock, the two DFS walks' visited/stack arrays, the CSR
-/// class->edges grouping, the regions in pairing order and their per-edge
-/// entry/exit maps. With the buffers warm, a build allocates only the
-/// returned tree's one buffer. Same contract as \c CycleEquivScratch:
-/// contents between builds are unspecified, results are independent of
-/// prior use, and one scratch must not be shared by two threads at once.
+/// consumes in place) and the builder's own transients: the directed
+/// DFS's stack, two per-class arrays, the regions in entry order and
+/// the renumbering's per-region arrays; none is sized by the edge count.
+/// With the buffers warm, a build allocates only the returned tree's one
+/// buffer. Same contract as \c CycleEquivScratch: contents between builds
+/// are unspecified, results are independent of prior use, and one scratch
+/// must not be shared by two threads at once.
 struct PstBuildScratch {
   CycleEquivScratch CE;
-  std::vector<uint32_t> EdgeTime;
-  std::vector<uint8_t> Visited;
   std::vector<std::pair<NodeId, uint32_t>> Stack;
-  // CSR grouping of real edges by cycle-equivalence class, each segment
-  // sorted by traversal time.
-  std::vector<uint32_t> ClassOff, ClassCursor;
-  std::vector<EdgeId> ClassEdges;
-  // Regions as pairing creates them (in class order, which depends on the
-  // solver), the pairing-order region each edge opens / closes (or
-  // InvalidRegion) for the replay DFS, the region-entry sequence of that
-  // DFS, and each pairing-order region's final (preorder) id.
+  // Per class: its real edges the DFS has yet to traverse, and the region
+  // its last traversed edge opened (or InvalidRegion).
+  std::vector<uint32_t> ClassLeft;
+  std::vector<RegionId> ClassOpen;
+  // Regions in entry order (the DFS's temporary ids) and each one's final
+  // (preorder) id.
   std::vector<SeseRegion> Paired;
-  std::vector<RegionId> EntryOf, ExitOf;
-  std::vector<RegionId> EntrySeq;
   std::vector<RegionId> PreorderId;
   // Subtree sizes / next free ids of the renumbering, then the scatter
   // cursor for the tree's per-region CSR arrays.
@@ -121,7 +118,7 @@ public:
 
   /// Builds the PST of the CFG viewed by \p V (which must satisfy
   /// \c validateCfg) in O(N + E). Cycle equivalence consumes the view's
-  /// adjacency directly and both construction DFS walks iterate its flat
+  /// adjacency directly and the one construction DFS iterates its flat
   /// succ segments. Through a warm scratch a build makes exactly one heap
   /// allocation, the tree's buffer.
   static ProgramStructureTree build(const CfgView &V, PstBuildScratch &Scratch);

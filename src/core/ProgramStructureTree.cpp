@@ -110,58 +110,15 @@ ProgramStructureTree::buildWithCycleEquiv(const CfgView &G,
   const uint32_t NumN = G.numNodes();
   const uint32_t NumE = G.numEdges();
 
-  // -- Pass 1: one directed DFS from entry recording the first-traversal
-  // time of every edge. Within a cycle equivalence class this order is the
-  // dominance order (a dominator is traversed before anything it
-  // dominates on every walk from entry).
-  S.EdgeTime.assign(NumE, UINT32_MAX);
-  {
-    uint32_t Clock = 0;
-    S.Visited.assign(NumN, 0);
-    S.Stack.clear();
-    S.Visited[G.entry()] = 1;
-    S.Stack.emplace_back(G.entry(), 0);
-    while (!S.Stack.empty()) {
-      auto &[V, Next] = S.Stack.back();
-      const auto &Succs = G.succEdges(V);
-      if (Next == Succs.size()) {
-        S.Stack.pop_back();
-        continue;
-      }
-      EdgeId E = Succs[Next++];
-      S.EdgeTime[E] = Clock++;
-      NodeId W = G.target(E);
-      if (!S.Visited[W]) {
-        S.Visited[W] = 1;
-        S.Stack.emplace_back(W, 0);
-      }
-    }
-  }
-
-  // -- Pass 2: group real edges by class (a CSR offset/value array built
-  // in two counting passes; per-class std::vector buckets would dominate
-  // the allocation profile on the tiny procedures real corpora are made
-  // of) and pair consecutive edges (in traversal-time order) into
-  // canonical regions. Regions get temporary ids in pairing order, which
-  // follows the solver's class numbering.
-  S.ClassOff.assign(NumClasses + 1, 0);
-  for (EdgeId E = 0; E < NumE; ++E) {
-    assert(S.EdgeTime[E] != UINT32_MAX && "edge unreachable; CFG is invalid");
-    ++S.ClassOff[EdgeClass[E] + 1];
-  }
-  // The class sizes fix the region count exactly (one region per
-  // consecutive same-class pair, plus the synthetic root), which sizes
-  // the tree's one buffer.
-  uint32_t NumRegions = 1;
-  for (uint32_t C = 0; C < NumClasses; ++C)
-    if (uint32_t Size = S.ClassOff[C + 1]; Size >= 2)
-      NumRegions += Size - 1;
-  for (uint32_t C = 0; C < NumClasses; ++C)
-    S.ClassOff[C + 1] += S.ClassOff[C];
-  S.ClassCursor.assign(S.ClassOff.begin(), S.ClassOff.end() - 1);
-  S.ClassEdges.resize(NumE);
+  // A class of k real edges pairs into k - 1 regions; with the synthetic
+  // root that fixes the region count, which sizes the tree's one buffer.
+  S.ClassLeft.assign(NumClasses, 0);
   for (EdgeId E = 0; E < NumE; ++E)
-    S.ClassEdges[S.ClassCursor[EdgeClass[E]]++] = E;
+    ++S.ClassLeft[EdgeClass[E]];
+  uint32_t NumRegions = 1;
+  for (uint32_t Size : S.ClassLeft)
+    if (Size >= 2)
+      NumRegions += Size - 1;
 
   ProgramStructureTree T;
   T.allocate(NumN, NumRegions);
@@ -176,102 +133,82 @@ ProgramStructureTree::buildWithCycleEquiv(const CfgView &G,
   uint32_t *ImmOff = Writable(T.Arr.ImmOff);
   NodeId *ImmVal = Writable(T.Arr.ImmVal);
 
+  // -- One directed DFS from entry. Within a class it traverses the edges
+  // in dominance order (a dominator is traversed before anything it
+  // dominates on every walk from entry), so each traversed edge closes the
+  // region its class's previous edge opened, popping to that region's
+  // parent, and, unless it is its class's last edge, opens the next one
+  // inside the current region. A chain a,b,c thus yields (a,b) and (b,c),
+  // never (a,c). Regions take temporary ids in entry order, and each node
+  // the region current when the DFS first reaches it (NodeRegion doubles
+  // as the visited mark).
   S.Paired.resize(NumRegions);
   S.Paired[0] = SeseRegion{}; // Synthetic root, id 0 in both numberings.
-  S.EntryOf.assign(NumE, InvalidRegion);
-  S.ExitOf.assign(NumE, InvalidRegion);
-  RegionId NextPaired = 1;
-  for (uint32_t C = 0; C < NumClasses; ++C) {
-    EdgeId *Begin = S.ClassEdges.data() + S.ClassOff[C];
-    EdgeId *End = S.ClassEdges.data() + S.ClassOff[C + 1];
-    if (End - Begin < 2)
+  S.ClassOpen.assign(NumClasses, InvalidRegion);
+  std::fill_n(NodeRegion, NumN, InvalidRegion);
+  NodeRegion[G.entry()] = T.root();
+  RegionId NextId = 1;
+  [[maybe_unused]] uint32_t Traversed = 0;
+  S.Stack.clear();
+  S.Stack.emplace_back(G.entry(), 0);
+  while (!S.Stack.empty()) {
+    auto &[V, Next] = S.Stack.back();
+    const auto &Succs = G.succEdges(V);
+    if (Next == Succs.size()) {
+      S.Stack.pop_back();
       continue;
-    std::sort(Begin, End, [&](EdgeId A, EdgeId B) {
-      return S.EdgeTime[A] < S.EdgeTime[B];
-    });
-    for (EdgeId *I = Begin; I + 1 != End; ++I) {
-      RegionId R = NextPaired++;
-      S.Paired[R] = SeseRegion{I[0], I[1], InvalidRegion, 0};
-      // Only the first region opened by an edge is canonical for it; a
-      // chain a,b,c yields (a,b) and (b,c) -- never (a,c).
-      S.EntryOf[I[0]] = R;
-      S.ExitOf[I[1]] = R;
+    }
+    EdgeId E = Succs[Next++];
+    ++Traversed;
+    uint32_t C = EdgeClass[E];
+    RegionId Cur = NodeRegion[V];
+    if (RegionId Exited = S.ClassOpen[C]; Exited != InvalidRegion) {
+      S.Paired[Exited].ExitEdge = E;
+      Cur = S.Paired[Exited].Parent;
+    }
+    S.ClassOpen[C] = InvalidRegion;
+    if (--S.ClassLeft[C] != 0) {
+      S.Paired[NextId] =
+          SeseRegion{E, InvalidEdge, Cur, S.Paired[Cur].Depth + 1};
+      S.ClassOpen[C] = Cur = NextId++;
+    }
+    NodeId W = G.target(E);
+    if (NodeRegion[W] == InvalidRegion) {
+      NodeRegion[W] = Cur;
+      S.Stack.emplace_back(W, 0);
     }
   }
-  assert(NextPaired == NumRegions && "region count mismatch");
+  assert(Traversed == NumE && "edge unreachable; CFG is invalid");
+  assert(NextId == NumRegions && "region count mismatch");
 
-  // -- Pass 3: replay the same DFS, assigning every discovered node its
-  // innermost region (the region current when the edge reaching it is
-  // traversed), and wiring up parents.
-  // Exiting a region pops to that region's parent (already known: the
-  // entry edge dominates the exit edge, so it was traversed first);
-  // entering a region records the current region as its parent. The
-  // sequence of entered regions is kept: its per-parent subsequences are
-  // chronological, which is exactly the child order the tree exposes.
-  std::fill_n(NodeRegion, NumN, T.root());
-  S.EntrySeq.clear();
-  S.EntrySeq.reserve(NumRegions - 1);
-  {
-    S.Visited.assign(NumN, 0);
-    S.Stack.clear();
-    S.Visited[G.entry()] = 1;
-    S.Stack.emplace_back(G.entry(), 0);
-    while (!S.Stack.empty()) {
-      auto &[V, Next] = S.Stack.back();
-      const auto &Succs = G.succEdges(V);
-      if (Next == Succs.size()) {
-        S.Stack.pop_back();
-        continue;
-      }
-      EdgeId E = Succs[Next++];
-      RegionId Cur = NodeRegion[V];
-      if (RegionId Exited = S.ExitOf[E]; Exited != InvalidRegion)
-        Cur = S.Paired[Exited].Parent;
-      if (RegionId Entered = S.EntryOf[E]; Entered != InvalidRegion) {
-        S.Paired[Entered].Parent = Cur;
-        S.Paired[Entered].Depth = S.Paired[Cur].Depth + 1;
-        S.EntrySeq.push_back(Entered);
-        Cur = Entered;
-      }
-      NodeId W = G.target(E);
-      if (!S.Visited[W]) {
-        S.Visited[W] = 1;
-        NodeRegion[W] = Cur;
-        S.Stack.emplace_back(W, 0);
-      }
-    }
-  }
-
-  // -- Renumber in preorder, children in entry order. Subtree sizes come
-  // from the entry sequence backwards (children were entered after their
-  // parent); then, forwards, each region takes its parent's next free id
-  // and advances it past its own subtree. RegionCursor holds a region's
-  // subtree size until it is numbered, then its next free child id.
+  // -- Renumber in preorder, children in entry order, and lay out the
+  // region table with its per-parent child counts. A region's entry-order
+  // id is above its parent's, so subtree sizes add up in one descending
+  // sweep; then, ascending, each region takes its parent's next free id and
+  // advances it past its own subtree. RegionCursor holds a region's subtree
+  // size until it is numbered, then its next free child id.
   S.RegionCursor.assign(NumRegions, 1);
-  for (auto It = S.EntrySeq.rbegin(); It != S.EntrySeq.rend(); ++It)
-    S.RegionCursor[S.Paired[*It].Parent] += S.RegionCursor[*It];
+  for (RegionId R = NumRegions - 1; R > 0; --R)
+    S.RegionCursor[S.Paired[R].Parent] += S.RegionCursor[R];
   S.PreorderId.resize(NumRegions);
-  S.PreorderId[0] = 0;
+  RegionId *Id = S.PreorderId.data();
+  Id[0] = 0;
   S.RegionCursor[0] = 1;
-  for (RegionId R : S.EntrySeq) {
-    uint32_t &ParentNext = S.RegionCursor[S.Paired[R].Parent];
-    S.PreorderId[R] = ParentNext;
-    ParentNext += S.RegionCursor[R];
-    S.RegionCursor[R] = S.PreorderId[R] + 1;
-  }
-  const RegionId *Id = S.PreorderId.data();
-
-  // Region table in preorder, with the per-parent child counts; then the
-  // children CSR, scattered in id order (siblings' preorder ids ascend in
-  // entry order).
   std::fill_n(ChildOff, NumRegions + 1, 0);
   new (&Regions[0]) SeseRegion{};
   for (RegionId R = 1; R < NumRegions; ++R) {
     SeseRegion Reg = S.Paired[R];
+    uint32_t &ParentNext = S.RegionCursor[Reg.Parent];
+    Id[R] = ParentNext;
+    ParentNext += S.RegionCursor[R];
+    S.RegionCursor[R] = Id[R] + 1;
     Reg.Parent = Id[Reg.Parent];
     ++ChildOff[Reg.Parent + 1];
     new (&Regions[Id[R]]) SeseRegion(Reg);
   }
+
+  // The children CSR, scattered in id order (siblings' preorder ids ascend
+  // in entry order).
   for (uint32_t I = 1; I <= NumRegions; ++I)
     ChildOff[I] += ChildOff[I - 1];
   S.RegionCursor.assign(ChildOff, ChildOff + NumRegions);

@@ -176,6 +176,43 @@ TEST(Pst, NestedWhileDepthGrows) {
   EXPECT_TRUE(S.FullyStructured);
 }
 
+// Deep graphs, as in CycleEquiv.DeepGraphsFinishOnBothRuns: the builder's
+// DFS keeps its path on a heap stack. The chain is one class of 200001
+// edges, paired into every region. Region count, maximum depth and a
+// word-wise FNV-1a digest of the region table and node map are pinned.
+TEST(Pst, DeepGraphsBuild) {
+  struct Case {
+    const char *Name;
+    Cfg G;
+    uint32_t NumRegions, MaxDepth;
+    uint64_t Digest;
+  } Cases[] = {
+      {"nestedWhile(20000)", nestedWhileCfg(20000), 40002, 20001,
+       7503780702419421933ull},
+      {"chain(200000)", chainCfg(200000), 200001, 1,
+       7134364046766944301ull},
+  };
+  for (const Case &C : Cases) {
+    ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(C.G));
+    uint64_t H = 0xcbf29ce484222325ull;
+    auto Mix = [&H](uint32_t V) { H = (H ^ V) * 0x100000001b3ull; };
+    uint32_t MaxDepth = 0;
+    for (RegionId R = 1; R < T.numRegions(); ++R) {
+      const SeseRegion &Reg = T.region(R);
+      ASSERT_LT(Reg.Parent, R) << C.Name;
+      ASSERT_EQ(Reg.Depth, T.region(Reg.Parent).Depth + 1) << C.Name;
+      MaxDepth = std::max(MaxDepth, Reg.Depth);
+      for (uint32_t V : {Reg.EntryEdge, Reg.ExitEdge, Reg.Parent})
+        Mix(V);
+    }
+    for (RegionId R : T.nodeRegionTable())
+      Mix(R);
+    EXPECT_EQ(T.numRegions(), C.NumRegions) << C.Name;
+    EXPECT_EQ(MaxDepth, C.MaxDepth) << C.Name;
+    EXPECT_EQ(H, C.Digest) << C.Name;
+  }
+}
+
 TEST(Pst, IrreducibleRegionClassified) {
   Cfg G = irreducibleCfg(1);
   FrozenCfg V(G);
