@@ -16,7 +16,10 @@
 ///   ...
 ///   end
 /// \endcode
-/// Labels must be unique, whitespace-free and declared before use.
+/// Labels must be unique, whitespace-free and declared before use. Blank
+/// lines and lines whose first token starts with '#' are skipped anywhere;
+/// a line may hold nothing past the tokens shown, and nothing but skipped
+/// lines may follow \c end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +42,9 @@ void printDot(const Cfg &G, std::ostream &OS, const std::string &Name = "cfg");
 void printCfgText(const Cfg &G, std::ostream &OS,
                   const std::string &Name = "cfg");
 
-/// Parses one CFG from \p IS.
+/// Parses one CFG from \p IS, which it reads to the end.
 /// \returns the graph, or std::nullopt on malformed input (with a
-/// diagnostic in \p *Error if non-null).
+/// line-numbered diagnostic in \p *Error if non-null).
 std::optional<Cfg> parseCfgText(std::istream &IS,
                                 std::string *Error = nullptr);
 

@@ -65,13 +65,18 @@ std::optional<Cfg> pst::parseCfgText(std::istream &IS, std::string *Error) {
     if (!(LS >> Kw) || Kw[0] == '#')
       continue;
     std::string Where = "line " + std::to_string(LineNo) + ": ";
+    if (SawEnd)
+      return Fail(Where + "unexpected '" + Kw + "' after 'end'");
     if (Kw == "cfg") {
+      std::string Name;
+      if (SawHeader)
+        return Fail(Where + "second 'cfg' header");
+      if (!(LS >> Name))
+        return Fail(Where + "cfg line missing name");
       SawHeader = true;
-      continue;
-    }
-    if (!SawHeader)
+    } else if (!SawHeader) {
       return Fail(Where + "expected 'cfg <name>' header first");
-    if (Kw == "node") {
+    } else if (Kw == "node") {
       std::string Label, Role;
       if (!(LS >> Label))
         return Fail(Where + "node line missing label");
@@ -92,29 +97,24 @@ std::optional<Cfg> pst::parseCfgText(std::istream &IS, std::string *Error) {
         else
           G.setExit(N);
       }
-      if (LS >> Extra)
-        return Fail(Where + "unexpected token '" + Extra + "' on node line");
-      continue;
-    }
-    if (Kw == "edge") {
+    } else if (Kw == "edge") {
       std::string A, B;
       if (!(LS >> A >> B))
         return Fail(Where + "edge line needs two labels");
-      if (LS >> Extra)
-        return Fail(Where + "unexpected token '" + Extra + "' on edge line");
       auto IA = ByLabel.find(A), IB = ByLabel.find(B);
       if (IA == ByLabel.end())
         return Fail(Where + "unknown node '" + A + "'");
       if (IB == ByLabel.end())
         return Fail(Where + "unknown node '" + B + "'");
       G.addEdge(IA->second, IB->second);
-      continue;
-    }
-    if (Kw == "end") {
+    } else if (Kw == "end") {
       SawEnd = true;
-      break;
+    } else {
+      return Fail(Where + "unknown keyword '" + Kw + "'");
     }
-    return Fail(Where + "unknown keyword '" + Kw + "'");
+    if (LS >> Extra)
+      return Fail(Where + "unexpected token '" + Extra + "' on " + Kw +
+                  " line");
   }
   if (!SawHeader)
     return Fail("empty input: no 'cfg' header");

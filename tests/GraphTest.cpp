@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "pst/core/ProgramStructureTree.h"
+#include "pst/core/SeseOracle.h"
 #include "pst/graph/Cfg.h"
 #include "pst/graph/CfgAlgorithms.h"
 #include "pst/graph/CfgIO.h"
@@ -11,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 using namespace pst;
@@ -257,6 +260,52 @@ TEST(CfgIO, ParseRejectsTrailingTokens) {
   EXPECT_EQ(Error, "line 2: unexpected token 'exit' on node line");
 }
 
+TEST(CfgIO, ParseRejectsHeaderWithoutName) {
+  std::string Error;
+  auto R = parseCfgText("cfg\nnode a entry\nnode b exit\nend\n", &Error);
+  EXPECT_FALSE(R.has_value());
+  EXPECT_EQ(Error, "line 1: cfg line missing name");
+}
+
+TEST(CfgIO, ParseRejectsTokensAfterHeaderName) {
+  std::string Error;
+  auto R =
+      parseCfgText("cfg a b c\nnode a entry\nnode b exit\nend\n", &Error);
+  EXPECT_FALSE(R.has_value());
+  EXPECT_EQ(Error, "line 1: unexpected token 'b' on cfg line");
+}
+
+TEST(CfgIO, ParseRejectsSecondHeader) {
+  std::string Error;
+  auto R = parseCfgText("cfg x\nnode a entry\ncfg y\nnode b exit\nend\n",
+                        &Error);
+  EXPECT_FALSE(R.has_value());
+  EXPECT_EQ(Error, "line 3: second 'cfg' header");
+}
+
+TEST(CfgIO, ParseRejectsTokensAfterEnd) {
+  std::string Error;
+  auto R = parseCfgText("cfg x\nnode a entry\nnode b exit\nend garbage\n",
+                        &Error);
+  EXPECT_FALSE(R.has_value());
+  EXPECT_EQ(Error, "line 4: unexpected token 'garbage' on end line");
+}
+
+TEST(CfgIO, ParseRejectsLinesAfterEnd) {
+  std::string Error;
+  auto R = parseCfgText(
+      "cfg x\nnode a entry\nnode b exit\nend\n\n# note\nmore stuff here\n",
+      &Error);
+  EXPECT_FALSE(R.has_value());
+  EXPECT_EQ(Error, "line 7: unexpected 'more' after 'end'");
+  // Blank and comment lines after the end are still fine.
+  R = parseCfgText("cfg x\nnode a entry\nnode b exit\nedge a b\nend\n\n"
+                   "  # note\n",
+                   &Error);
+  ASSERT_TRUE(R.has_value()) << Error;
+  EXPECT_EQ(R->numEdges(), 1u);
+}
+
 TEST(CfgIO, ParseRejectsMissingEnd) {
   std::string Error;
   auto R = parseCfgText("cfg x\nnode a entry\n", &Error);
@@ -270,4 +319,115 @@ TEST(CfgIO, ParseSkipsComments) {
       "cfg x\n# comment\nnode a entry\nnode b exit\nedge a b\nend\n", &Error);
   ASSERT_TRUE(R.has_value()) << Error;
   EXPECT_EQ(R->numNodes(), 2u);
+}
+
+namespace {
+
+std::vector<std::string> splitLines(const std::string &Text) {
+  std::vector<std::string> Lines;
+  std::istringstream IS(Text);
+  for (std::string L; std::getline(IS, L);)
+    Lines.push_back(L);
+  return Lines;
+}
+
+std::string joinLines(const std::vector<std::string> &Lines) {
+  std::string Out;
+  for (const std::string &L : Lines)
+    Out += L + '\n';
+  return Out;
+}
+
+/// One seeded mutation of a CFG text: a line dropped, a line copied to a
+/// random place, two tokens anywhere in the text swapped, the text cut at
+/// a random byte, or one byte flipped.
+std::string mutateCfgText(std::string Text, Rng &R) {
+  if (Text.empty())
+    return Text;
+  std::vector<std::string> Lines = splitLines(Text);
+  switch (R.nextBelow(5)) {
+  case 0:
+    Lines.erase(Lines.begin() + R.nextBelow(Lines.size()));
+    return joinLines(Lines);
+  case 1: {
+    std::string Copy = Lines[R.nextBelow(Lines.size())];
+    Lines.insert(Lines.begin() + R.nextBelow(Lines.size() + 1), Copy);
+    return joinLines(Lines);
+  }
+  case 2: {
+    std::vector<std::vector<std::string>> Toks(Lines.size());
+    std::vector<std::string *> All;
+    for (size_t I = 0; I < Lines.size(); ++I) {
+      std::istringstream LS(Lines[I]);
+      for (std::string T; LS >> T;)
+        Toks[I].push_back(T);
+      for (std::string &T : Toks[I])
+        All.push_back(&T);
+    }
+    if (All.size() < 2)
+      return Text;
+    std::swap(*All[R.nextBelow(All.size())], *All[R.nextBelow(All.size())]);
+    for (size_t I = 0; I < Lines.size(); ++I) {
+      Lines[I].clear();
+      for (const std::string &T : Toks[I])
+        Lines[I] += (Lines[I].empty() ? "" : " ") + T;
+    }
+    return joinLines(Lines);
+  }
+  case 3:
+    Text.resize(R.nextBelow(Text.size()));
+    return Text;
+  default:
+    Text[R.nextBelow(Text.size())] ^= static_cast<char>(1 + R.nextBelow(255));
+    return Text;
+  }
+}
+
+} // namespace
+
+// Seeded mutants of printed CFG texts, one to three mutations each. The
+// parser must reject every mutant with a diagnostic or return a graph, and
+// a returned graph that passes validateCfg must get exactly the oracle's
+// canonical regions from the PST.
+TEST(CfgIO, MutatedTextsAreRejectedOrAnalyzed) {
+  uint32_t Rejected = 0, Invalid = 0, Checked = 0;
+  for (uint64_t Seed = 0; Seed < 500; ++Seed) {
+    Rng R(Seed * 7919 + 5);
+    RandomCfgOptions Opts;
+    Opts.NumNodes = 2 + static_cast<uint32_t>(R.nextBelow(9));
+    Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(8));
+    std::ostringstream OS;
+    printCfgText(randomBackboneCfg(R, Opts), OS, "m" + std::to_string(Seed));
+    for (int M = 0; M < 10; ++M) {
+      std::string Text = OS.str();
+      for (uint64_t K = 1 + R.nextBelow(3); K > 0; --K)
+        Text = mutateCfgText(Text, R);
+      std::string Error;
+      std::optional<Cfg> G = parseCfgText(Text, &Error);
+      if (!G) {
+        EXPECT_FALSE(Error.empty()) << Text;
+        ++Rejected;
+        continue;
+      }
+      if (!validateCfg(*G)) {
+        ++Invalid;
+        continue;
+      }
+      ++Checked;
+      ProgramStructureTree T = ProgramStructureTree::build(FrozenCfg(*G));
+      std::set<std::pair<EdgeId, EdgeId>> Fast;
+      for (RegionId X = 1; X < T.numRegions(); ++X)
+        Fast.insert({T.region(X).EntryEdge, T.region(X).ExitEdge});
+      auto Oracle = canonicalRegionsBrute(*G);
+      std::set<std::pair<EdgeId, EdgeId>> Slow(Oracle.begin(), Oracle.end());
+      EXPECT_EQ(Fast, Slow) << Text;
+    }
+  }
+  // Each outcome is reached often, so the sweep exercises all three paths.
+  std::string Counts = "rejected " + std::to_string(Rejected) +
+                       ", invalid " + std::to_string(Invalid) +
+                       ", checked " + std::to_string(Checked);
+  EXPECT_GE(Rejected, 2000u) << Counts;
+  EXPECT_GE(Invalid, 100u) << Counts;
+  EXPECT_GE(Checked, 200u) << Counts;
 }
