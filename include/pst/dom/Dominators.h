@@ -31,6 +31,7 @@
 #include "pst/graph/CfgView.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -151,6 +152,14 @@ public:
   /// Iterated dominance frontier of the node set \p Defs (sorted, deduped).
   /// \p Defs may hold duplicates and need not be sorted.
   std::vector<NodeId> iterated(std::span<const NodeId> Defs) const;
+
+  /// As above, into caller-owned buffers: \p Result is overwritten with
+  /// the blocks, and \p Work and \p Mark are scratch that only grow, so a
+  /// warm call allocates nothing. \p Mark must be all zero on entry (a
+  /// fresh vector is), and the call leaves it so, whatever the size of the
+  /// graph the buffers last served.
+  void iterated(std::span<const NodeId> Defs, std::vector<NodeId> &Result,
+                std::vector<NodeId> &Work, std::vector<uint8_t> &Mark) const;
 
   /// Heap footprint in bytes (for cache accounting).
   size_t bytes() const { return DF.bytes(); }

@@ -41,7 +41,8 @@
 /// Resource bound: a request line longer than \c MaxLineBytes (the
 /// `--listen` socket is untrusted input) gets exactly one `err` response,
 /// in order, like any malformed request; the rest of its bytes are read
-/// and discarded without being buffered, and the session continues.
+/// and discarded without being buffered, and the session continues. A
+/// `phi` def list is capped at \c MaxPhiDefs blocks the same way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,9 +57,14 @@ namespace pst {
 namespace serve {
 
 /// Longest request line a session accepts, excluding the newline. Far
-/// above any well-formed request (a `phi` def list of ten thousand nodes
-/// fits), and the only per-line memory a client can make a session hold.
+/// above any well-formed request (a `phi` list of MaxPhiDefs five-digit
+/// nodes fits), and the only per-line memory a client can make a session
+/// hold.
 inline constexpr size_t MaxLineBytes = 64 * 1024;
+
+/// Most def blocks one `phi` request may name. A longer list parses as an
+/// invalid request whose `err` line names the cap.
+inline constexpr size_t MaxPhiDefs = 4096;
 
 /// A parsed input line.
 struct ParsedLine {

@@ -37,6 +37,7 @@
 #include "pst/serve/Shard.h"
 #include "pst/support/ThreadPool.h"
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -70,9 +71,16 @@ struct Request {
   std::string Error;
 };
 
-/// Per-worker reusable query state.
+/// Per-worker reusable query state. Every buffer only grows, so a query
+/// on a warm scratch allocates nothing but the string it returns.
 struct QueryScratch {
+  /// The uncached `cdep` scan's edges (cached queries read the bundle).
   std::vector<EdgeId> Edges;
+  /// `phi`: the result, worklist and mark buffers of
+  /// DominanceFrontiers::iterated.
+  std::vector<NodeId> Blocks, Work;
+  std::vector<uint8_t> Mark;
+  /// The response being formatted.
   std::string Out;
 };
 

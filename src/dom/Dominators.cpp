@@ -244,30 +244,46 @@ DominanceFrontiers::DominanceFrontiers(const CfgView &G, const DomTree &DT) {
 
 std::vector<NodeId>
 DominanceFrontiers::iterated(std::span<const NodeId> Defs) const {
-  uint32_t N = DF.numNodes();
-  std::vector<bool> InResult(N, false), InWork(N, false);
-  std::vector<NodeId> Work;
+  std::vector<NodeId> Result, Work;
+  std::vector<uint8_t> Mark;
+  iterated(Defs, Result, Work, Mark);
+  return Result;
+}
+
+void DominanceFrontiers::iterated(std::span<const NodeId> Defs,
+                                  std::vector<NodeId> &Result,
+                                  std::vector<NodeId> &Work,
+                                  std::vector<uint8_t> &Mark) const {
+  // Every marked node is a def or a result block, so clearing those two
+  // lists' marks at the end restores the all-zero invariant.
+  constexpr uint8_t InResult = 1, InWork = 2;
+  if (Mark.size() < DF.numNodes())
+    Mark.resize(DF.numNodes(), 0);
+  Result.clear();
+  Work.clear();
   for (NodeId D : Defs) {
-    if (!InWork[D]) {
-      InWork[D] = true;
+    if (!(Mark[D] & InWork)) {
+      Mark[D] |= InWork;
       Work.push_back(D);
     }
   }
-  std::vector<NodeId> Result;
   while (!Work.empty()) {
     NodeId V = Work.back();
     Work.pop_back();
     for (NodeId M : DF.row(V)) {
-      if (InResult[M])
+      if (Mark[M] & InResult)
         continue;
-      InResult[M] = true;
+      Mark[M] |= InResult;
       Result.push_back(M);
-      if (!InWork[M]) {
-        InWork[M] = true;
+      if (!(Mark[M] & InWork)) {
+        Mark[M] |= InWork;
         Work.push_back(M);
       }
     }
   }
+  for (NodeId D : Defs)
+    Mark[D] = 0;
+  for (NodeId M : Result)
+    Mark[M] = 0;
   std::sort(Result.begin(), Result.end());
-  return Result;
 }

@@ -133,6 +133,9 @@ ParsedLine pst::serve::parseLine(std::string_view Line) {
         NodeId N = InvalidNode;
         if (!parseNode(Defs.substr(0, Comma), N))
           return invalid("phi: bad def list");
+        if (L.Q.Defs.size() == MaxPhiDefs)
+          return invalid("phi: more than " + std::to_string(MaxPhiDefs) +
+                         " defs");
         L.Q.Defs.push_back(N);
         if (Comma == std::string_view::npos)
           break;

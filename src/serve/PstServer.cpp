@@ -14,6 +14,12 @@
 // from the frozen views on the spot; both paths format byte-identical
 // responses, which tests and time_serve gate on.
 //
+// A warm query allocates only the string it returns: responses are
+// appended to the worker's QueryScratch::Out with std::to_chars, `cdep`
+// formats straight from the bundle's CSR slice, and `phi` runs in the
+// scratch's buffers. The clock and the epoch lag are read only when
+// telemetry is on, since nothing else consumes them.
+//
 //===----------------------------------------------------------------------===//
 
 #include "pst/serve/PstServer.h"
@@ -23,7 +29,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <chrono>
+#include <iterator>
 
 using namespace pst;
 using namespace pst::serve;
@@ -39,11 +47,27 @@ std::vector<const char *> queryProbes(uint32_t NumShards) {
   return Probes;
 }
 
-void appendNode(std::string &Out, NodeId N) {
-  if (N == InvalidNode)
+/// Appends the decimal digits of \p V: no temporary string.
+void appendNum(std::string &Out, uint64_t V) {
+  char Buf[20];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+/// Appends a node or edge id, or '-' for \p Invalid.
+void appendId(std::string &Out, uint32_t Id, uint32_t Invalid) {
+  if (Id == Invalid)
     Out += '-';
   else
-    Out += std::to_string(N);
+    appendNum(Out, Id);
+}
+
+/// Appends a comma-separated list of ids.
+void appendList(std::string &Out, std::span<const NodeId> Ids) {
+  for (size_t I = 0; I < Ids.size(); ++I) {
+    if (I)
+      Out += ',';
+    appendNum(Out, Ids[I]);
+  }
 }
 
 /// Walks both regions to their least common ancestor: the innermost
@@ -64,19 +88,20 @@ void runRegion(const ResolvedFunction &F, const Request &R, QueryScratch &Sc) {
   const ProgramStructureTree &T = F.Pst;
   RegionId L = regionLca(T, T.regionOfNode(R.A), T.regionOfNode(R.B));
   const SeseRegion &Reg = T.region(L);
-  Sc.Out += "ok region fn=" + std::to_string(R.Fn) +
-            " a=" + std::to_string(R.A) + " b=" + std::to_string(R.B) +
-            " region=" + std::to_string(L) +
-            " depth=" + std::to_string(Reg.Depth) + " entry=";
-  if (Reg.EntryEdge == InvalidEdge)
-    Sc.Out += '-';
-  else
-    Sc.Out += std::to_string(Reg.EntryEdge);
+  Sc.Out += "ok region fn=";
+  appendNum(Sc.Out, R.Fn);
+  Sc.Out += " a=";
+  appendNum(Sc.Out, R.A);
+  Sc.Out += " b=";
+  appendNum(Sc.Out, R.B);
+  Sc.Out += " region=";
+  appendNum(Sc.Out, L);
+  Sc.Out += " depth=";
+  appendNum(Sc.Out, Reg.Depth);
+  Sc.Out += " entry=";
+  appendId(Sc.Out, Reg.EntryEdge, InvalidEdge);
   Sc.Out += " exit=";
-  if (Reg.ExitEdge == InvalidEdge)
-    Sc.Out += '-';
-  else
-    Sc.Out += std::to_string(Reg.ExitEdge);
+  appendId(Sc.Out, Reg.ExitEdge, InvalidEdge);
 }
 
 void runRegions(const ResolvedFunction &F, const Request &R,
@@ -85,10 +110,14 @@ void runRegions(const ResolvedFunction &F, const Request &R,
   uint32_t MaxDepth = 0;
   for (const SeseRegion &Reg : T.regionTable())
     MaxDepth = std::max(MaxDepth, Reg.Depth);
-  Sc.Out += "ok regions fn=" + std::to_string(R.Fn) +
-            " count=" + std::to_string(T.numRegions()) +
-            " canonical=" + std::to_string(T.numCanonicalRegions()) +
-            " maxdepth=" + std::to_string(MaxDepth);
+  Sc.Out += "ok regions fn=";
+  appendNum(Sc.Out, R.Fn);
+  Sc.Out += " count=";
+  appendNum(Sc.Out, T.numRegions());
+  Sc.Out += " canonical=";
+  appendNum(Sc.Out, T.numCanonicalRegions());
+  Sc.Out += " maxdepth=";
+  appendNum(Sc.Out, MaxDepth);
 }
 
 void runCdep(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
@@ -99,26 +128,33 @@ void runCdep(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
   // CSR holds the whole relation with each slice ascending by edge id —
   // the same set, in the same order, as this scan (ControlDependenceCsr.h
   // spells out the equivalence).
-  Sc.Edges.clear();
+  std::span<const EdgeId> Edges;
   if (B) {
-    std::span<const EdgeId> Slice = B->Cdep.controllingEdges(R.A);
-    Sc.Edges.assign(Slice.begin(), Slice.end());
+    Edges = B->Cdep.controllingEdges(R.A);
   } else {
+    Sc.Edges.clear();
     DomTree Pdt = DomTree::buildPostDom(F.View);
     for (EdgeId E = 0; E < F.View.numEdges(); ++E) {
       NodeId C = F.View.source(E), M = F.View.target(E);
       if (Pdt.dominates(R.A, M) && !(R.A != C && Pdt.dominates(R.A, C)))
         Sc.Edges.push_back(E);
     }
+    Edges = Sc.Edges;
   }
-  Sc.Out += "ok cdep fn=" + std::to_string(R.Fn) +
-            " node=" + std::to_string(R.A) + " edges=[";
-  for (size_t I = 0; I < Sc.Edges.size(); ++I) {
+  Sc.Out += "ok cdep fn=";
+  appendNum(Sc.Out, R.Fn);
+  Sc.Out += " node=";
+  appendNum(Sc.Out, R.A);
+  Sc.Out += " edges=[";
+  for (size_t I = 0; I < Edges.size(); ++I) {
     if (I)
       Sc.Out += ',';
-    EdgeId E = Sc.Edges[I];
-    Sc.Out += std::to_string(E) + ":" + std::to_string(F.View.source(E)) +
-              "->" + std::to_string(F.View.target(E));
+    EdgeId E = Edges[I];
+    appendNum(Sc.Out, E);
+    Sc.Out += ':';
+    appendNum(Sc.Out, F.View.source(E));
+    Sc.Out += "->";
+    appendNum(Sc.Out, F.View.target(E));
   }
   Sc.Out += ']';
 }
@@ -132,33 +168,30 @@ void runDom(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
     DomTree Dt = DomTree::buildIterative(F.View);
     Idom = Dt.idom(R.A);
   }
-  Sc.Out += "ok dom fn=" + std::to_string(R.Fn) +
-            " node=" + std::to_string(R.A) + " idom=";
-  appendNode(Sc.Out, Idom);
+  Sc.Out += "ok dom fn=";
+  appendNum(Sc.Out, R.Fn);
+  Sc.Out += " node=";
+  appendNum(Sc.Out, R.A);
+  Sc.Out += " idom=";
+  appendId(Sc.Out, Idom, InvalidNode);
 }
 
 void runPhi(const ResolvedFunction &F, const Request &R, QueryScratch &Sc,
             const DerivedBundle *B) {
   // iterated() dedups the defs and returns the blocks sorted.
-  std::vector<NodeId> Blocks;
   if (B) {
-    Blocks = B->Df.iterated(R.Defs);
+    B->Df.iterated(R.Defs, Sc.Blocks, Sc.Work, Sc.Mark);
   } else {
     DomTree Dt = DomTree::buildIterative(F.View);
-    Blocks = DominanceFrontiers(F.View, Dt).iterated(R.Defs);
+    DominanceFrontiers(F.View, Dt).iterated(R.Defs, Sc.Blocks, Sc.Work,
+                                            Sc.Mark);
   }
-  Sc.Out += "ok phi fn=" + std::to_string(R.Fn) + " defs=[";
-  for (size_t I = 0; I < R.Defs.size(); ++I) {
-    if (I)
-      Sc.Out += ',';
-    Sc.Out += std::to_string(R.Defs[I]);
-  }
+  Sc.Out += "ok phi fn=";
+  appendNum(Sc.Out, R.Fn);
+  Sc.Out += " defs=[";
+  appendList(Sc.Out, R.Defs);
   Sc.Out += "] blocks=[";
-  for (size_t I = 0; I < Blocks.size(); ++I) {
-    if (I)
-      Sc.Out += ',';
-    Sc.Out += std::to_string(Blocks[I]);
-  }
+  appendList(Sc.Out, Sc.Blocks);
   Sc.Out += ']';
 }
 
@@ -191,27 +224,58 @@ std::unique_ptr<PstServer> PstServer::open(const std::string &Path,
 
 namespace {
 
-std::string runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
-                     const std::vector<const char *> &ShardQueryProbes) {
+/// Per-kind latency probes, indexed by RequestKind.
+constexpr const char *KindQueryProbes[] = {
+    "serve.query_ns.region", "serve.query_ns.regions", "serve.query_ns.cdep",
+    "serve.query_ns.dom",    "serve.query_ns.phi",     "serve.query_ns.name"};
+static_assert(std::size(KindQueryProbes) ==
+              static_cast<size_t>(RequestKind::Invalid));
+
+/// True when a query's probes record anything. Only then does a query read
+/// the clock and the epoch lag.
+bool probesOn() {
+#if PST_TELEMETRY
+  return Telemetry::enabled();
+#else
+  return false;
+#endif
+}
+
+std::string
+runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
+         [[maybe_unused]] const std::vector<const char *> &ShardQueryProbes) {
   Sc.Out.clear();
   if (R.Kind == RequestKind::Invalid) {
-    Sc.Out = "err " + (R.Error.empty() ? "invalid request" : R.Error);
+    Sc.Out += "err ";
+    Sc.Out += R.Error.empty() ? std::string_view("invalid request")
+                              : std::string_view(R.Error);
     return Sc.Out;
   }
   if (R.Fn >= S.numFunctions()) {
-    Sc.Out = "err fn " + std::to_string(R.Fn) + " out of range (corpus has " +
-             std::to_string(S.numFunctions()) + " functions)";
+    Sc.Out += "err fn ";
+    appendNum(Sc.Out, R.Fn);
+    Sc.Out += " out of range (corpus has ";
+    appendNum(Sc.Out, S.numFunctions());
+    Sc.Out += " functions)";
     return Sc.Out;
   }
-  auto Start = std::chrono::steady_clock::now();
+  const bool Timed = probesOn();
+  std::chrono::steady_clock::time_point Start;
+  if (Timed)
+    Start = std::chrono::steady_clock::now();
   const Shard &Sh = S.shardOf(R.Fn);
   auto Pin = Sh.pin();
-  uint64_t Lag = Sh.currentVersion() - Pin.version();
+  [[maybe_unused]] const uint64_t Lag =
+      Timed ? Sh.currentVersion() - Pin.version() : 0;
   ResolvedFunction F = Sh.resolve(*Pin, R.Fn);
 
   // Node-argument validation against the *resolved* graph (edits may
   // have grown it past the base image's node count).
   auto NodeOk = [&](NodeId N) { return N < F.View.numNodes(); };
+  auto NodeErr = [&] {
+    Sc.Out += "err node out of range";
+    return Sc.Out;
+  };
 
   // dom/cdep/phi share the function's derived bundle: overlay functions
   // carry their slot in the snapshot (so it retires with the epoch),
@@ -227,52 +291,50 @@ std::string runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
 
   switch (R.Kind) {
   case RequestKind::Region:
-    if (!NodeOk(R.A) || !NodeOk(R.B)) {
-      Sc.Out = "err node out of range";
-      return Sc.Out;
-    }
+    if (!NodeOk(R.A) || !NodeOk(R.B))
+      return NodeErr();
     runRegion(F, R, Sc);
     break;
   case RequestKind::Regions:
     runRegions(F, R, Sc);
     break;
   case RequestKind::Cdep:
-    if (!NodeOk(R.A)) {
-      Sc.Out = "err node out of range";
-      return Sc.Out;
-    }
+    if (!NodeOk(R.A))
+      return NodeErr();
     runCdep(F, R, Sc, Bundle());
     break;
   case RequestKind::Dom:
-    if (!NodeOk(R.A)) {
-      Sc.Out = "err node out of range";
-      return Sc.Out;
-    }
+    if (!NodeOk(R.A))
+      return NodeErr();
     runDom(F, R, Sc, Bundle());
     break;
   case RequestKind::Phi:
     for (NodeId D : R.Defs)
-      if (!NodeOk(D)) {
-        Sc.Out = "err node out of range";
-        return Sc.Out;
-      }
+      if (!NodeOk(D))
+        return NodeErr();
     runPhi(F, R, Sc, Bundle());
     break;
   case RequestKind::Name:
-    Sc.Out = "ok name fn=" + std::to_string(R.Fn) + " " + std::string(F.Name);
+    Sc.Out += "ok name fn=";
+    appendNum(Sc.Out, R.Fn);
+    Sc.Out += ' ';
+    Sc.Out += F.Name;
     break;
   case RequestKind::Invalid:
     break; // Handled above.
   }
 
-  uint64_t DurNs = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - Start)
-          .count());
-  PST_COUNTER("serve.queries", 1);
-  PST_VALUE("serve.query_ns", DurNs);
-  PST_VALUE(ShardQueryProbes[Sh.index()], DurNs);
-  PST_VALUE("serve.epoch_lag", Lag);
+  if (Timed) {
+    [[maybe_unused]] uint64_t DurNs = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count());
+    PST_COUNTER("serve.queries", 1);
+    PST_VALUE("serve.query_ns", DurNs);
+    PST_VALUE(KindQueryProbes[static_cast<size_t>(R.Kind)], DurNs);
+    PST_VALUE(ShardQueryProbes[Sh.index()], DurNs);
+    PST_VALUE("serve.epoch_lag", Lag);
+  }
   return Sc.Out;
 }
 

@@ -21,6 +21,10 @@
 // blocks. A bundle keeps 4 (itself, the idom array and the two CSRs)
 // whatever the function's size, and their bytes are its Bytes.
 //
+// A query on a warm QueryScratch makes exactly 1: the response string it
+// returns. Every kind, error lines included, and functions whose bundle
+// lives in the base cache or in an overlay snapshot alike.
+//
 // Nothing is asserted inside a counting window, so the framework's own
 // allocations never land in a count.
 //
@@ -31,6 +35,7 @@
 #include "pst/core/RegionAnalysis.h"
 #include "pst/runtime/BatchAnalyzer.h"
 #include "pst/serve/DerivedCache.h"
+#include "pst/serve/PstServer.h"
 #include "pst/workload/CfgGenerators.h"
 #include "pst/workload/Corpus.h"
 #include "pst/workload/CorpusStream.h"
@@ -268,6 +273,81 @@ TEST(AllocGate, BundleRetainsFixedBlockCount) {
         << "function " << I;
   }
   expectEvery(Blocks, 4);
+}
+
+TEST(AllocGate, WarmQueryMakesOne) {
+  // The paper corpus behind a one-thread server; function 0 is edited and
+  // committed first, so its queries resolve to an overlay snapshot.
+  std::vector<Cfg> Graphs = paperGraphs();
+  std::vector<const Cfg *> Ptrs;
+  std::vector<std::string> Names;
+  for (size_t I = 0; I < Graphs.size(); ++I) {
+    Ptrs.push_back(&Graphs[I]);
+    Names.push_back("paper_fn_" + std::to_string(I));
+  }
+  std::string Error;
+  CorpusImage Img =
+      CorpusImage::fromBytes(buildCorpusImage(Ptrs, Names), &Error);
+  ASSERT_TRUE(Img.valid()) << Error;
+  serve::ServeOptions Opts;
+  Opts.NumThreads = 1;
+  serve::PstServer Server(std::move(Img), Opts);
+  serve::Shard &Sh0 = Server.shardOf(0);
+  const EdgeId E0 = Graphs[0].succEdges(Graphs[0].entry())[0];
+  ASSERT_NE(Sh0.addBlock(0, Graphs[0].source(E0), Graphs[0].target(E0)),
+            InvalidNode);
+  Sh0.commit();
+
+  using serve::RequestKind;
+  std::vector<serve::Request> Queries;
+  auto Add = [&](RequestKind K, uint64_t Fn, NodeId A = InvalidNode,
+                 NodeId B = InvalidNode, std::vector<NodeId> Defs = {}) {
+    serve::Request R;
+    R.Kind = K;
+    R.Fn = Fn;
+    R.A = A;
+    R.B = B;
+    R.Defs = std::move(Defs);
+    Queries.push_back(std::move(R));
+  };
+  for (uint64_t Fn = 0; Fn < Graphs.size(); ++Fn) {
+    const NodeId N = Graphs[Fn].numNodes();
+    Add(RequestKind::Region, Fn, 0, N - 1);
+    Add(RequestKind::Region, Fn, N / 2, N / 3);
+    Add(RequestKind::Regions, Fn);
+    Add(RequestKind::Cdep, Fn, N / 2);
+    Add(RequestKind::Dom, Fn, N - 1);
+    Add(RequestKind::Phi, Fn, InvalidNode, InvalidNode, {N - 1, 1, N - 1});
+    Add(RequestKind::Phi, Fn, InvalidNode, InvalidNode, {N / 2});
+    Add(RequestKind::Name, Fn);
+    // The err lines: node out of range for each kind that takes nodes.
+    Add(RequestKind::Region, Fn, 0, N + 7);
+    Add(RequestKind::Cdep, Fn, N + 7);
+    Add(RequestKind::Dom, Fn, N + 7);
+    Add(RequestKind::Phi, Fn, InvalidNode, InvalidNode, {0, N + 7});
+  }
+  Add(RequestKind::Name, Graphs.size());
+  Add(RequestKind::Dom, UINT64_MAX, 0);
+  Add(RequestKind::Invalid, 0);
+  Queries.back().Error = "usage: dom <fn> <node>";
+  Add(RequestKind::Invalid, 0);
+
+  serve::QueryScratch Sc;
+  for (const serve::Request &R : Queries)
+    (void)Server.execute(R, Sc);
+  std::vector<uint64_t> Counts(Queries.size());
+  std::vector<size_t> Lengths(Queries.size());
+  for (size_t I = 0; I < Queries.size(); ++I) {
+    uint64_t Before = allocs();
+    std::string Out = Server.execute(Queries[I], Sc);
+    Counts[I] = allocs() - Before;
+    Lengths[I] = Out.size();
+  }
+  // Every response is past the small-string buffer, so its one allocation
+  // is the returned string's own.
+  for (size_t Len : Lengths)
+    ASSERT_GT(Len, std::string().capacity());
+  expectEvery(Counts, 1);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 
@@ -199,15 +200,89 @@ TEST(DominanceFrontiers, IteratedReachesFixpoint) {
     EXPECT_NE(std::find(IDF.begin(), IDF.end(), M), IDF.end());
 }
 
+namespace {
+
+/// The random CFG of DomRandomTest's seed \p Seed.
+Cfg domRandomCfg(uint64_t Seed) {
+  Rng R(Seed);
+  RandomCfgOptions Opts;
+  Opts.NumNodes = 3 + static_cast<uint32_t>(R.nextBelow(15));
+  Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(20));
+  return randomBackboneCfg(R, Opts);
+}
+
+/// The iterated frontier by brute force: grow X to DF(Defs + X) until it
+/// stops changing, then list it ascending.
+std::vector<NodeId> iteratedFixpoint(const DominanceFrontiers &DF,
+                                     uint32_t N, std::span<const NodeId> Defs) {
+  std::vector<bool> IsDef(N, false), InX(N, false);
+  for (NodeId D : Defs)
+    IsDef[D] = true;
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (NodeId V = 0; V < N; ++V)
+      if (IsDef[V] || InX[V])
+        for (NodeId M : DF.frontier(V))
+          if (!InX[M]) {
+            InX[M] = true;
+            Changed = true;
+          }
+  }
+  std::vector<NodeId> X;
+  for (NodeId V = 0; V < N; ++V)
+    if (InX[V])
+      X.push_back(V);
+  return X;
+}
+
+} // namespace
+
+TEST(DominanceFrontiers, ScratchIteratedMatchesFixpoint) {
+  // One set of buffers serves every graph, alternating DomRandomTest's
+  // random CFGs (3 to 17 nodes) with irreducibleCfg(1..4), so the buffers
+  // see graphs grow and shrink: a mark left behind by one call would show
+  // up as a missing block in a later one.
+  std::vector<NodeId> Result, Work;
+  std::vector<uint8_t> Mark;
+  Rng DefRng(7);
+  size_t Calls = 0;
+  for (uint64_t Seed = 0; Seed < 60; ++Seed) {
+    for (const Cfg &G : {domRandomCfg(Seed),
+                         irreducibleCfg(1 + static_cast<uint32_t>(Seed % 4))}) {
+      FrozenCfg V(G);
+      DominanceFrontiers DF(V, DomTree::buildIterative(V));
+      const uint32_t N = G.numNodes();
+      // Every single def, the empty set, and a few unsorted multisets.
+      std::vector<std::vector<NodeId>> DefSets(1);
+      for (NodeId D = 0; D < N; ++D)
+        DefSets.push_back({D});
+      for (int K = 0; K < 6; ++K) {
+        std::vector<NodeId> Defs(1 + DefRng.nextBelow(5));
+        for (NodeId &D : Defs)
+          D = static_cast<NodeId>(DefRng.nextBelow(N));
+        DefSets.push_back(Defs);
+      }
+      for (const std::vector<NodeId> &Defs : DefSets) {
+        DF.iterated(Defs, Result, Work, Mark);
+        ++Calls;
+        const std::vector<NodeId> Expected = iteratedFixpoint(DF, N, Defs);
+        ASSERT_EQ(Result, Expected) << "seed " << Seed << ", " << N
+                                    << " nodes, " << Defs.size() << " defs";
+        ASSERT_EQ(DF.iterated(Defs), Expected) << "seed " << Seed;
+        ASSERT_EQ(std::count(Mark.begin(), Mark.end(), 0),
+                  static_cast<std::ptrdiff_t>(Mark.size()))
+            << "seed " << Seed << ": marks left set";
+      }
+    }
+  }
+  EXPECT_GT(Calls, 1000u);
+}
+
 // Property sweep: iterative == Lengauer-Tarjan == oracle on random CFGs.
 class DomRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DomRandomTest, AllThreeAgree) {
-  Rng R(GetParam());
-  RandomCfgOptions Opts;
-  Opts.NumNodes = 3 + static_cast<uint32_t>(R.nextBelow(15));
-  Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(20));
-  Cfg G = randomBackboneCfg(R, Opts);
+  Cfg G = domRandomCfg(GetParam());
   ASSERT_TRUE(validateCfg(G));
 
   FrozenCfg V(G);

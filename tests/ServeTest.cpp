@@ -808,4 +808,28 @@ TEST(ProtocolTest, OverlongLineGetsOneErrorAndSessionContinues) {
                 std::to_string(MaxLineBytes) + " bytes\n");
 }
 
+TEST(ProtocolTest, PhiDefListsAreCapped) {
+  // MaxPhiDefs defs still parse and are answered; one more is rejected
+  // with the cap in the message, and a session answers it with exactly one
+  // err line, in order.
+  std::string AtCap = "phi 0 1";
+  for (size_t I = 1; I < MaxPhiDefs; ++I)
+    AtCap += ",1";
+  ParsedLine L = parseLine(AtCap);
+  EXPECT_EQ(L.Q.Kind, RequestKind::Phi);
+  EXPECT_EQ(L.Q.Defs.size(), MaxPhiDefs);
+
+  const std::string Over = AtCap + ",2";
+  const std::string Err =
+      "err phi: more than " + std::to_string(MaxPhiDefs) + " defs";
+  L = parseLine(Over);
+  EXPECT_EQ(L.Q.Kind, RequestKind::Invalid);
+  EXPECT_EQ("err " + L.Q.Error, Err);
+
+  PstServer Server(makeTestImage());
+  EXPECT_EQ(runScript(Server, "name 0\n" + Over + "\nname 1\n", 256),
+            "ok name fn=0 fn0\n" + Err + "\nok name fn=1 fn1\n");
+  EXPECT_EQ(runScript(Server, AtCap + "\n", 256).rfind("ok phi fn=0 ", 0), 0u);
+}
+
 } // namespace
