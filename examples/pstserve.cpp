@@ -29,7 +29,7 @@
 //     --stats              enable telemetry; print the stats dump
 //                          (TelemetryRegistry::toJson) to stderr at exit
 //     --stats-out <f>      enable telemetry; write the stats dump to <f>
-//                          at exit (merge fleet dumps with telemetry-merge)
+//                          at exit
 //     --trace-out <f>      enable span retention; write chrome-trace JSON
 //                          to <f> at exit
 //     --trace-sample <n>   keep every nth span per thread (survives the

@@ -45,6 +45,12 @@ public:
   /// \c DomTree::buildPostDom of the same graph.
   ControlDependenceCsr(const CfgView &V, const DomTree &Pdt);
 
+  /// As above from the postdominator tree's idom array alone
+  /// (\c immediateDominators of \c V.reversed()), with \p S's cursors:
+  /// one allocation, the relation's buffer.
+  ControlDependenceCsr(const CfgView &V, std::span<const NodeId> PostIdom,
+                       DomScratch &S);
+
   /// The edges node \p N is control dependent on, ascending by edge id.
   std::span<const EdgeId> controllingEdges(NodeId N) const {
     return Rel.row(N);

@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace pst {
@@ -48,15 +49,19 @@ public:
   /// Builds the relation over \p NumNodes rows. \p ForEachPair(Emit) must
   /// call `Emit(Row, Value)` once per pair, in the order each row lists its
   /// values. It runs twice (count, then fill) and must emit the same pairs
-  /// both times; no per-row containers, no sort.
+  /// both times; no per-row containers, no sort. \p Cursor is scratch for
+  /// the row cursors: it only grows, so with it warm the relation's buffer
+  /// is the one allocation.
   template <class ForEachPairT>
-  NodeCsr(uint32_t NumNodes, ForEachPairT ForEachPair) : Rows(NumNodes) {
-    std::vector<uint32_t> Cursor(NumNodes + 1, 0);
+  NodeCsr(uint32_t NumNodes, std::vector<uint32_t> &Cursor,
+          ForEachPairT ForEachPair)
+      : Rows(NumNodes) {
+    Cursor.assign(NumNodes + 1, 0);
     ForEachPair([&](uint32_t Row, uint32_t) { ++Cursor[Row + 1]; });
     for (uint32_t I = 0; I < NumNodes; ++I)
       Cursor[I + 1] += Cursor[I];
     Buf.resize(NumNodes + 1 + Cursor[NumNodes]);
-    std::copy(Cursor.begin(), Cursor.end(), Buf.begin());
+    std::copy(Cursor.begin(), Cursor.begin() + NumNodes + 1, Buf.begin());
     ForEachPair([&](uint32_t Row, uint32_t Value) {
       Buf[NumNodes + 1 + Cursor[Row]++] = Value;
     });
@@ -81,12 +86,41 @@ private:
   std::vector<uint32_t> Buf; // Rows + 1 offsets, then the values.
 };
 
+/// Reusable working memory for the dominator kernel and for the frontier
+/// and control-dependence fills that read its idom arrays. Buffers only
+/// grow, so with them warm the kernel allocates nothing and each fill
+/// allocates only its relation's buffer. Contents between calls are
+/// unspecified apart from \c Idom, the last kernel run's output; one
+/// scratch must not be shared by two threads at once.
+struct DomScratch {
+  /// Immediate dominator per node, written by \c immediateDominators.
+  std::vector<NodeId> Idom;
+  /// The nodes reached from the root, in DFS postorder.
+  std::vector<NodeId> Postorder;
+  /// Postorder number per node; UINT32_MAX for unreached nodes.
+  std::vector<uint32_t> PoNum;
+  /// The DFS stack: a node and its next successor index.
+  std::vector<std::pair<NodeId, uint32_t>> Stack;
+  /// The frontier fill's per-node last merge, which drops repeats.
+  std::vector<NodeId> Last;
+  /// Row cursors of the relation being filled (see \c NodeCsr).
+  std::vector<uint32_t> Cursor;
+};
+
+/// Immediate dominators of \p V's nodes from its entry, by the
+/// Cooper-Harvey-Kennedy two-finger intersection over postorder numbers,
+/// iterating the flat pred segments. The result is \p S.Idom: InvalidNode
+/// for the entry and for nodes unreachable from it. Postdominators are
+/// this kernel on \c V.reversed(), with nothing materialized. Allocates
+/// nothing once \p S is warm. Every dominator tree in the library except
+/// \c DomTree::buildLengauerTarjan (the cross-check) comes from here.
+std::span<const NodeId> immediateDominators(const CfgView &V, DomScratch &S);
+
 /// An immediate-dominator tree over the nodes of a CFG.
 class DomTree {
 public:
-  /// Builds the dominator tree of \p V rooted at its entry, using the
-  /// Cooper-Harvey-Kennedy iterative algorithm: RPO and the idom fixpoint
-  /// iterate the flat pred segments directly.
+  /// Builds the dominator tree of \p V rooted at its entry: the tree
+  /// around \c immediateDominators.
   static DomTree buildIterative(const CfgView &V);
 
   /// Builds the dominator tree of \p V rooted at its entry, using the
@@ -128,6 +162,9 @@ public:
 
   uint32_t numNodes() const { return static_cast<uint32_t>(Idom.size()); }
 
+  /// The immediate-dominator array, one entry per node.
+  std::span<const NodeId> idoms() const { return Idom; }
+
 private:
   void finalize(); // Builds Kids/In/Out from Idom.
 
@@ -145,6 +182,11 @@ public:
   /// Computes frontiers for \p V using dominator tree \p DT (which must have
   /// been built for \p V).
   DominanceFrontiers(const CfgView &V, const DomTree &DT);
+
+  /// As above from the tree's idom array alone (\c immediateDominators of
+  /// \p V), with \p S's cursors: one allocation, the frontier buffer.
+  DominanceFrontiers(const CfgView &V, std::span<const NodeId> Idom,
+                     DomScratch &S);
 
   /// The frontier of \p N, sorted ascending, without duplicates.
   std::span<const NodeId> frontier(NodeId N) const { return DF.row(N); }

@@ -483,6 +483,17 @@ std::vector<uint8_t>
 buildCorpusImage(std::span<const Cfg *const> Fns,
                  std::span<const std::string> Names = {});
 
+/// The image of one function, built from its frozen view \p V and PST
+/// \p T with no \c Cfg copy: node labels come from \p Labels, whose node
+/// ids must be \p V's (its edges are not read, so an edited graph that
+/// still holds tombstoned edges serves). The bytes equal
+/// \c buildCorpusImage over the one graph \p V views, named \p Name. One
+/// allocation: the returned bytes.
+std::vector<uint8_t> buildFunctionImage(const CfgView &V,
+                                        const ProgramStructureTree &T,
+                                        const Cfg &Labels,
+                                        std::string_view Name);
+
 /// Writes \p Bytes to \p Path atomically enough for tooling (truncate +
 /// write + close). Returns false with a diagnostic on I/O failure.
 bool writeImageFile(const std::string &Path, std::span<const uint8_t> Bytes,

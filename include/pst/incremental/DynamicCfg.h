@@ -30,6 +30,7 @@
 #define PST_INCREMENTAL_DYNAMICCFG_H
 
 #include "pst/graph/Cfg.h"
+#include "pst/graph/CfgView.h"
 
 #include <string>
 #include <vector>
@@ -126,6 +127,11 @@ public:
   /// \p CompactOfGlobal the reverse map (InvalidEdge for dead edges).
   Cfg materialize(std::vector<EdgeId> *GlobalOfCompact = nullptr,
                   std::vector<EdgeId> *CompactOfGlobal = nullptr) const;
+
+  /// The view of \c materialize() — node ids unchanged, live edges
+  /// renumbered densely in id order — frozen into \p S straight from this
+  /// graph, with no \c Cfg copy. Allocation-free once \p S is warm.
+  CfgView view(CfgViewScratch &S) const;
 
 private:
   EdgeId addEdgeRaw(NodeId Src, NodeId Dst);

@@ -235,6 +235,17 @@ public:
   }
 };
 
+/// True when probes record anything: telemetry compiled in and switched
+/// on. Code that reads a clock only to feed its probes gates on this, so
+/// it reads none while telemetry is off.
+inline bool telemetryRecording() {
+#if PST_TELEMETRY
+  return Telemetry::enabled();
+#else
+  return false;
+#endif
+}
+
 /// Interns \p Name into a deliberately leaked process-lifetime pool and
 /// returns a stable C string suitable as a telemetry probe name (probe
 /// names must outlive the program — see \c Telemetry::addCounter).

@@ -7,12 +7,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The per-epoch derived-analysis cache: lazily materialized bundles of
-/// exactly what the dom/cdep/phi queries read beyond the frozen CFG/PST
-/// pair — the immediate-dominator array, the dominance-frontier CSR and
-/// the control-dependence CSR. The dominator and postdominator trees are
-/// transients of a bundle's build. `region` and `regions` read the PST
-/// directly and never touch a bundle.
+/// The per-epoch derived-analysis cache: bundles of exactly what the
+/// dom/cdep/phi queries read beyond the frozen CFG/PST pair — the
+/// immediate-dominator array, the dominance-frontier CSR and the
+/// control-dependence CSR, all filled from the dominator kernel's idom
+/// arrays. `region` and `regions` read the PST directly and never touch a
+/// bundle.
 ///
 /// One \c DerivedSlot guards one function's bundle with a single atomic
 /// pointer in three states: null (empty), a sentinel (a build is in
@@ -26,11 +26,14 @@
 /// Lifecycle is the epoch lifecycle, by construction rather than by an
 /// eviction policy: base-image slots live in a \c DerivedCache owned by
 /// the server (the base image never changes, so they are valid forever),
-/// and overlay slots live *inside* \c FunctionSnapshot — a commit that
-/// refreezes a function creates a new snapshot with an empty slot, and
-/// the stale bundle is freed exactly when the EpochTable reclaims the old
-/// snapshot at quiescence. No invalidation walk, no stale reads: a pinned
-/// epoch resolves to the snapshot whose slot it populated.
+/// and overlay slots live *inside* \c FunctionSnapshot. Base-image
+/// bundles are built lazily, on the first query that needs one, because
+/// an image can hold a million functions. Overlay bundles are built at
+/// commit: the writer fills a refrozen snapshot's slot before publishing
+/// the snapshot, so readers never build or wait on one. The stale bundle
+/// is freed exactly when the EpochTable reclaims the old snapshot at
+/// quiescence. No invalidation walk, no stale reads: a pinned epoch
+/// resolves to the snapshot whose slot was filled for it.
 ///
 /// Responses computed from a bundle are byte-identical to the uncached
 /// per-query path (same algorithms, same orderings); `time_serve` and the
@@ -55,14 +58,18 @@ namespace serve {
 
 /// Exactly what the dom/cdep/phi queries read from one frozen function:
 /// the immediate-dominator array (`dom`), the dominance frontiers (`phi`)
-/// and the control-dependence CSR (`cdep`). The dominator and
-/// postdominator trees they derive from are locals of the constructor.
+/// and the control-dependence CSR (`cdep`), all filled from the dominator
+/// kernel's forward and reverse idom arrays (\c immediateDominators).
 /// Immutable after construction; self-contained (no references into the
 /// view it was built from). A bundle is four heap blocks, itself and one
-/// per array, whatever the function's size.
+/// per array, whatever the function's size, and with a warm scratch those
+/// are the only allocations its build makes.
 struct DerivedBundle {
-  // The tree is unused; the parameter stays because perfbench/ builds
-  // bundles through this signature.
+  /// Builds \p V's bundle on \p S: the kernel forward, the frontier fill,
+  /// the kernel on \c V.reversed(), the cdep fill.
+  DerivedBundle(const CfgView &V, DomScratch &S);
+  /// One-shot form with a local scratch. The tree is unused; the
+  /// signature stays because perfbench/ builds bundles through it.
   DerivedBundle(const CfgView &V, const ProgramStructureTree &);
 
   /// Immediate dominator per node; InvalidNode for the entry and for
@@ -74,7 +81,7 @@ struct DerivedBundle {
   size_t Bytes = 0;
 
 private:
-  DerivedBundle(const CfgView &V, const DomTree &Dom);
+  DerivedBundle(const CfgView &V, DomScratch &&S) : DerivedBundle(V, S) {}
 };
 
 /// Monotonic cache counters, shared by every slot of one server.
@@ -124,12 +131,12 @@ public:
   DerivedSlot &operator=(const DerivedSlot &) = delete;
   ~DerivedSlot();
 
-  /// The bundle for (\p V, \p T), building it first-touch. Safe from any
+  /// The bundle for \p V, building it on \p S first-touch. Safe from any
   /// number of threads; exactly one caller builds, the rest reuse or wait
-  /// (on this slot only). \p V and \p T must describe the same frozen
-  /// function on every call for a given slot — true by construction here,
-  /// since a slot is tied to one immutable snapshot or base-image entry.
-  const DerivedBundle &get(const CfgView &V, const ProgramStructureTree &T,
+  /// (on this slot only). \p V must describe the same frozen function on
+  /// every call for a given slot — true by construction here, since a slot
+  /// is tied to one immutable snapshot or base-image entry.
+  const DerivedBundle &get(const CfgView &V, DomScratch &S,
                            DerivedCacheCounters &C) const;
 
 private:

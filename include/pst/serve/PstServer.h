@@ -82,6 +82,9 @@ struct QueryScratch {
   std::vector<uint8_t> Mark;
   /// The response being formatted.
   std::string Out;
+  /// Dominator-kernel scratch for a base-image bundle's first-touch build
+  /// (overlay bundles are built by the committing writer).
+  DomScratch Dom;
 };
 
 struct ServeOptions {
@@ -92,9 +95,11 @@ struct ServeOptions {
   unsigned NumThreads = 0;
   /// Epoch table capacity per shard (see EpochTable.h on sizing).
   uint32_t EpochCapacity = 64;
-  /// Per-epoch derived-analysis cache (DerivedCache.h): first touch of a
-  /// function by dom/cdep/phi builds its idom/frontier/cdep-CSR bundle
-  /// once per epoch; later queries reuse it. Responses are
+  /// Per-epoch derived-analysis cache (DerivedCache.h): every function's
+  /// idom/frontier/cdep-CSR bundle is built once per epoch — a base-image
+  /// function's by the first dom/cdep/phi query on it, a refrozen
+  /// function's by the commit that publishes it — and queries reuse it.
+  /// Commits of a server with the cache off build nothing. Responses are
   /// byte-identical either way (gated by tests and `time_serve`); disable
   /// (`pstserve --no-derived-cache`) to force per-query recomputation.
   bool DerivedCache = true;

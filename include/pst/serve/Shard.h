@@ -22,18 +22,30 @@
 /// zero-copy views. Readers pin an epoch, resolve functions against it,
 /// and drop the pin; the writer applies edits to a per-function
 /// `DynamicCfg` (which rejects any edit that would break Definition 1)
-/// and, at \c commit, materializes each dirty function's graph, freezes
-/// it from scratch, and publishes a new epoch. So a published snapshot is
-/// by construction the from-scratch freeze of the current graph, which
-/// \c verifyPublished re-checks byte for byte. The commit cost is bounded
-/// by the dirty set, not the shard.
+/// and, at \c commit, freezes each dirty function from scratch and
+/// publishes a new epoch. So a published snapshot is by construction the
+/// from-scratch freeze of the current graph, which \c verifyPublished
+/// re-checks byte for byte against a freeze of the materialized graph.
+///
+/// The commit runs on one writer-owned scratch: the view is frozen
+/// straight from the `DynamicCfg` (tombstoned edges dropped on the way,
+/// no `Cfg` copy), the PST and the one-function image are built from it,
+/// and, when the server's derived cache is on, the snapshot's bundle is
+/// built before publish. Every published overlay slot is therefore ready:
+/// readers never build or wait on an overlay bundle. Base-image bundles
+/// stay lazy (DerivedCache.h). With the scratch warm, a commit allocates
+/// only what it publishes, plus the PST's transient buffer. Its cost is
+/// bounded by the dirty set, except the O(overlay) copy into each new
+/// epoch.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PST_SERVE_SHARD_H
 #define PST_SERVE_SHARD_H
 
+#include "pst/dom/Dominators.h"
 #include "pst/incremental/DynamicCfg.h"
+#include "pst/serve/DerivedCache.h"
 #include "pst/serve/EpochTable.h"
 #include "pst/serve/Snapshot.h"
 
@@ -91,9 +103,12 @@ struct ShardStats {
 class Shard {
 public:
   /// \p Base must outlive the shard. Publishes epoch 0 (empty overlay)
-  /// immediately, so \c pin never blocks.
+  /// immediately, so \c pin never blocks. \p Derived, when non-null, is
+  /// the server's derived-cache counters (and must outlive the shard):
+  /// each commit then builds every refrozen snapshot's bundle before
+  /// publishing it. Null means the cache is off and commits build none.
   Shard(const CorpusImage &Base, uint32_t Index, uint32_t NumShards,
-        uint32_t EpochCapacity = 64);
+        uint32_t EpochCapacity = 64, DerivedCacheCounters *Derived = nullptr);
 
   uint32_t index() const { return Index; }
   bool owns(uint64_t Fn) const { return Fn % NumShards == Index; }
@@ -122,9 +137,10 @@ public:
   /// Functions with journaled-but-unpublished edits.
   uint32_t pendingFunctions() const;
 
-  /// Refreezes every dirty function from its materialized graph and
-  /// publishes a new epoch. Returns the published version (the current
-  /// version unchanged if nothing was dirty).
+  /// Refreezes every dirty function from its writer graph, builds the new
+  /// snapshots' bundles (derived cache on) and publishes a new epoch.
+  /// Returns the published version (the current version unchanged if
+  /// nothing was dirty). Reads no clock while telemetry is off.
   uint64_t commit();
 
   /// Re-checks the byte-identity invariant for every overlaid function
@@ -147,6 +163,14 @@ private:
     bool Dirty = false;
   };
 
+  /// The commit's working memory, reused by every commit: warm after the
+  /// largest function the shard has refrozen.
+  struct CommitScratch {
+    CfgViewScratch View;
+    PstBuildScratch Pst;
+    DomScratch Dom;
+  };
+
   /// Lazily materializes the writer state for \p Fn from the base image.
   FunctionWriter &writer(uint64_t Fn);
   /// First live edge Src -> Dst in \p W's graph, or InvalidEdge.
@@ -164,6 +188,8 @@ private:
   std::vector<std::pair<uint64_t, std::shared_ptr<const FunctionSnapshot>>>
       WorkingOverlay;
   EpochTable<ShardEpoch> Epochs;
+  DerivedCacheCounters *Derived;
+  CommitScratch Scratch;
   uint64_t NextVersion = 0;
   uint64_t Edits = 0, EditsRejected = 0, Commits = 0, Refrozen = 0;
 

@@ -10,16 +10,18 @@
 /// The immutable unit the serving layer publishes: one function's CFG and
 /// PST frozen at a commit point.
 ///
-/// A FunctionSnapshot *is* a single-function corpus image — `freeze` runs
-/// the committed graph through `buildCorpusImage` and adopts the result
-/// (`CfgView::adopt` / `ProgramStructureTree::adoptExternal`) exactly the
-/// way `CorpusImage::map` does for on-disk images. That buys the serving
+/// A FunctionSnapshot *is* a single-function corpus image — `freeze`
+/// builds the committed graph's image straight from its frozen view
+/// (`buildFunctionImage`) and adopts the result (`CfgView::adopt` /
+/// `ProgramStructureTree::adoptExternal`) exactly the way
+/// `CorpusImage::map` does for on-disk images. That buys the serving
 /// layer the byte-identity invariant for free: the image format is byte-
 /// deterministic for a given CFG, so "this published snapshot equals a
-/// from-scratch rebuild of the shard's current graph" is a memcmp of
-/// image bytes (checked by \c snapshotMatchesFromScratch, and enforced by
-/// the serve tests and `time_serve`'s exit-1 gate), not a structural walk
-/// that could miss a field. It also means snapshots are self-contained —
+/// from-scratch rebuild of the shard's current graph" is a memcmp against
+/// `buildCorpusImage` of the materialized graph (checked by
+/// \c snapshotMatchesFromScratch, and enforced by the serve tests and
+/// `time_serve`'s exit-1 gate), not a structural walk that could miss a
+/// field. It also means snapshots are self-contained —
 /// dropping one epoch's overlay frees everything that epoch pinned, with
 /// no aliasing into writer state.
 ///
@@ -40,10 +42,19 @@ namespace serve {
 /// shared by every epoch overlay that includes it.
 class FunctionSnapshot {
 public:
-  /// Freezes \p G (which must satisfy \c validateCfg) under \p Name.
-  /// Builds the single-function image, so this is a full from-scratch
-  /// analysis of \p G — the serving layer calls it once per dirtied
-  /// function per commit, not per query.
+  /// Freezes the graph \p V views (which must satisfy \c validateCfg)
+  /// under \p Name, node labels from \p Labels (\c buildFunctionImage):
+  /// builds its PST on \p Scratch and the single-function image straight
+  /// from the view, so this is a full from-scratch analysis of the graph —
+  /// the serving layer calls it once per dirtied function per commit, not
+  /// per query. With \p Scratch warm it makes three allocations: the image
+  /// bytes, the snapshot (one block with its control block) and the PST's
+  /// transient buffer.
+  static std::shared_ptr<const FunctionSnapshot>
+  freeze(const CfgView &V, const Cfg &Labels, std::string_view Name,
+         PstBuildScratch &Scratch);
+
+  /// One-shot form: freezes \p G under \p Name with local scratch.
   static std::shared_ptr<const FunctionSnapshot> freeze(const Cfg &G,
                                                         std::string_view Name);
 
@@ -58,17 +69,27 @@ public:
 
   /// This snapshot's derived-analysis slot (DerivedCache.h). Riding on
   /// the snapshot ties the bundle's lifetime to the epoch lifecycle: a
-  /// refreeze at commit publishes a *new* snapshot with an empty slot,
-  /// and the stale bundle dies when the EpochTable reclaims this one at
-  /// quiescence. The slot's own synchronization makes this const-safe
-  /// (the snapshot's frozen bytes stay immutable).
+  /// refreeze at commit publishes a *new* snapshot whose slot the writer
+  /// filled first (derived cache on), and the stale bundle dies when the
+  /// EpochTable reclaims this one at quiescence. The slot's own
+  /// synchronization makes this const-safe (the snapshot's frozen bytes
+  /// stay immutable).
   DerivedSlot &derivedSlot() const { return Derived; }
 
   FunctionSnapshot(const FunctionSnapshot &) = delete;
   FunctionSnapshot &operator=(const FunctionSnapshot &) = delete;
 
 private:
-  FunctionSnapshot() = default;
+  /// Only \c freeze can name the key, so only it constructs snapshots;
+  /// the constructor is public for \c std::make_shared's sake.
+  struct Key {
+    explicit Key() = default;
+  };
+
+public:
+  explicit FunctionSnapshot(Key) {}
+
+private:
 
   CorpusImage Img;
   CfgView View;

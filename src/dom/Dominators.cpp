@@ -16,7 +16,8 @@ using namespace pst;
 void DomTree::finalize() {
   uint32_t N = numNodes();
   // Ascending V fills each child list ascending by node id.
-  Kids = NodeCsr(N, [&](auto Emit) {
+  std::vector<uint32_t> Cursor;
+  Kids = NodeCsr(N, Cursor, [&](auto Emit) {
     for (NodeId V = 0; V < N; ++V)
       if (V != Root && Idom[V] != InvalidNode)
         Emit(Idom[V], V);
@@ -45,51 +46,87 @@ void DomTree::finalize() {
   }
 }
 
-DomTree DomTree::buildIterative(const CfgView &G) {
-  DomTree T;
-  T.Root = G.entry();
-  uint32_t N = G.numNodes();
-  T.Idom.assign(N, InvalidNode);
-  if (N == 0 || T.Root == InvalidNode)
-    return T;
+std::span<const NodeId> pst::immediateDominators(const CfgView &G,
+                                                 DomScratch &S) {
+  const uint32_t N = G.numNodes();
+  const NodeId Root = G.entry();
+  S.Idom.assign(N, InvalidNode);
+  if (N == 0 || Root == InvalidNode)
+    return S.Idom;
 
-  std::vector<NodeId> RPO = reversePostOrder(G);
-  std::vector<uint32_t> RpoNum(N, UINT32_MAX);
-  for (uint32_t I = 0; I < RPO.size(); ++I)
-    RpoNum[RPO[I]] = I;
+  // Postorder by an explicit-stack DFS (the benches run 100k-node
+  // chains). PoNum doubles as the visited mark: OnPath until the node
+  // finishes and takes its number.
+  constexpr uint32_t Unreached = UINT32_MAX, OnPath = UINT32_MAX - 1;
+  S.PoNum.assign(N, Unreached);
+  S.Postorder.clear();
+  S.Stack.clear();
+  // Sized up front, so even a cold scratch grows each list once.
+  S.Postorder.reserve(N);
+  S.Stack.reserve(N);
+  S.PoNum[Root] = OnPath;
+  S.Stack.emplace_back(Root, 0);
+  while (!S.Stack.empty()) {
+    auto &[V, Next] = S.Stack.back();
+    std::span<const NodeId> Succs = G.succNodes(V);
+    if (Next == Succs.size()) {
+      S.PoNum[V] = static_cast<uint32_t>(S.Postorder.size());
+      S.Postorder.push_back(V);
+      S.Stack.pop_back();
+      continue;
+    }
+    NodeId W = Succs[Next++];
+    if (S.PoNum[W] == Unreached) {
+      S.PoNum[W] = OnPath;
+      S.Stack.emplace_back(W, 0);
+    }
+  }
 
-  // Two-finger intersection in RPO numbering (Cooper/Harvey/Kennedy).
+  // Two-finger intersection in postorder numbering: the finger with the
+  // lower number is the deeper one and climbs.
   auto Intersect = [&](NodeId A, NodeId B) {
     while (A != B) {
-      while (RpoNum[A] > RpoNum[B])
-        A = T.Idom[A];
-      while (RpoNum[B] > RpoNum[A])
-        B = T.Idom[B];
+      while (S.PoNum[A] < S.PoNum[B])
+        A = S.Idom[A];
+      while (S.PoNum[B] < S.PoNum[A])
+        B = S.Idom[B];
     }
     return A;
   };
 
-  T.Idom[T.Root] = T.Root; // Temporarily self, for Intersect's termination.
+  // Reverse postorder is the postorder backwards; the root finishes last.
+  // Unreached and not yet processed predecessors both still read
+  // InvalidNode, and are skipped alike.
+  S.Idom[Root] = Root; // Temporarily self, for Intersect's termination.
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (NodeId V : RPO) {
-      if (V == T.Root)
-        continue;
+    for (size_t I = S.Postorder.size() - 1; I-- > 0;) {
+      NodeId V = S.Postorder[I];
       NodeId NewIdom = InvalidNode;
-      for (EdgeId E : G.predEdges(V)) {
-        NodeId P = G.source(E);
-        if (RpoNum[P] == UINT32_MAX || T.Idom[P] == InvalidNode)
-          continue; // Unreachable or not yet processed.
+      for (NodeId P : G.predNodes(V)) {
+        if (S.Idom[P] == InvalidNode)
+          continue;
         NewIdom = NewIdom == InvalidNode ? P : Intersect(P, NewIdom);
       }
-      if (NewIdom != InvalidNode && T.Idom[V] != NewIdom) {
-        T.Idom[V] = NewIdom;
+      if (S.Idom[V] != NewIdom) {
+        S.Idom[V] = NewIdom;
         Changed = true;
       }
     }
   }
-  T.Idom[T.Root] = InvalidNode;
+  S.Idom[Root] = InvalidNode;
+  return S.Idom;
+}
+
+DomTree DomTree::buildIterative(const CfgView &G) {
+  DomScratch S;
+  immediateDominators(G, S);
+  DomTree T;
+  T.Root = G.entry();
+  T.Idom = std::move(S.Idom);
+  if (G.numNodes() == 0 || T.Root == InvalidNode)
+    return T;
   T.finalize();
   return T;
 }
@@ -216,31 +253,48 @@ DomTree DomTree::fromIdom(NodeId Root, std::vector<NodeId> Idom) {
   return T;
 }
 
-DominanceFrontiers::DominanceFrontiers(const CfgView &G, const DomTree &DT) {
-  uint32_t N = G.numNodes();
-  // Merges M are visited ascending and Last[Runner] drops a second walk's
-  // repeat of (Runner, M), so each frontier comes out sorted and deduped.
-  std::vector<NodeId> Last(N);
-  DF = NodeCsr(N, [&](auto Emit) {
-    std::fill(Last.begin(), Last.end(), InvalidNode);
+namespace {
+
+/// DF(n) for every n, from the idom array of a dominator tree of \p G
+/// rooted at \p Root. Merges M are visited ascending and Last[Runner]
+/// drops a second walk's repeat of (Runner, M), so each frontier comes out
+/// sorted and deduped.
+NodeCsr frontierRelation(const CfgView &G, NodeId Root,
+                         std::span<const NodeId> Idom, DomScratch &S) {
+  const uint32_t N = G.numNodes();
+  auto Reachable = [&](NodeId V) {
+    return V == Root || Idom[V] != InvalidNode;
+  };
+  return NodeCsr(N, S.Cursor, [&](auto Emit) {
+    S.Last.assign(N, InvalidNode);
     for (NodeId M = 0; M < N; ++M) {
-      if (G.predEdges(M).size() < 2 || !DT.isReachable(M))
+      if (G.predEdges(M).size() < 2 || !Reachable(M))
         continue;
-      NodeId IdomM = DT.idom(M);
-      for (EdgeId E : G.predEdges(M)) {
-        NodeId Runner = G.source(E);
-        if (!DT.isReachable(Runner))
+      NodeId IdomM = Idom[M];
+      for (NodeId Runner : G.predNodes(M)) {
+        if (!Reachable(Runner))
           continue;
-        for (; Runner != IdomM && Runner != InvalidNode;
-             Runner = DT.idom(Runner))
-          if (Last[Runner] != M) {
-            Last[Runner] = M;
+        for (; Runner != IdomM && Runner != InvalidNode; Runner = Idom[Runner])
+          if (S.Last[Runner] != M) {
+            S.Last[Runner] = M;
             Emit(Runner, M);
           }
       }
     }
   });
 }
+
+} // namespace
+
+DominanceFrontiers::DominanceFrontiers(const CfgView &G, const DomTree &DT) {
+  DomScratch S;
+  DF = frontierRelation(G, DT.root(), DT.idoms(), S);
+}
+
+DominanceFrontiers::DominanceFrontiers(const CfgView &G,
+                                       std::span<const NodeId> Idom,
+                                       DomScratch &S)
+    : DF(frontierRelation(G, G.entry(), Idom, S)) {}
 
 std::vector<NodeId>
 DominanceFrontiers::iterated(std::span<const NodeId> Defs) const {

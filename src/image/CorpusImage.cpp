@@ -341,15 +341,19 @@ void CorpusImageBuilder::fill(size_t I, const Cfg &G, const CfgView &V,
                      Shapes[I].StrBytes);
 }
 
-std::vector<uint8_t> CorpusImageBuilder::finish() {
-  assert(LaidOut && "finish before layout");
+namespace {
+
+/// Writes the section table (with checksums) and the header into \p Arena,
+/// an in-memory image laid out by \p L with every payload filled.
+void sealArena(std::vector<uint8_t> &Arena, const ImageLayout &L,
+               uint64_t NumFunctions) {
   SectionDesc *Sections =
       reinterpret_cast<SectionDesc *>(Arena.data() + sizeof(ImageHeader));
   for (uint32_t K = 0; K < NumSections; ++K) {
     SectionDesc &D = Sections[K];
     D.Kind = K;
-    D.Offset = Layout.SectionOffset[K];
-    D.Bytes = Layout.SectionBytes[K];
+    D.Offset = L.SectionOffset[K];
+    D.Bytes = L.SectionBytes[K];
     D.Checksum = fnv1a(Arena.data() + D.Offset, D.Bytes);
   }
 
@@ -357,15 +361,22 @@ std::vector<uint8_t> CorpusImageBuilder::finish() {
   std::memcpy(H.MagicBytes, Magic, sizeof(Magic));
   H.Version = FormatVersion;
   H.Endian = EndianTag;
-  H.FileBytes = Layout.FileBytes;
-  H.NumFunctions = Layout.Funcs.size();
+  H.FileBytes = L.FileBytes;
+  H.NumFunctions = NumFunctions;
   H.SectionCount = NumSections;
   H.FuncRecordBytes = sizeof(FuncRecord);
   std::memcpy(Arena.data(), &H, sizeof(H));
 
   PST_COUNTER("image.build.images", 1);
-  PST_VALUE("image.build.bytes", double(Layout.FileBytes));
-  PST_VALUE("image.build.functions", double(Layout.Funcs.size()));
+  PST_VALUE("image.build.bytes", double(L.FileBytes));
+  PST_VALUE("image.build.functions", double(NumFunctions));
+}
+
+} // namespace
+
+std::vector<uint8_t> CorpusImageBuilder::finish() {
+  assert(LaidOut && "finish before layout");
+  sealArena(Arena, Layout, Layout.Funcs.size());
   return std::move(Arena);
 }
 
@@ -480,19 +491,23 @@ bool CorpusImage::attach(std::string *Error) {
 
   for (uint32_t K = 0; K < NumSections; ++K) {
     const SectionDesc &D = Sections[K];
-    std::string Name = std::string(sectionName(SectionKind(K))) +
-                       " (section " + std::to_string(K) + ")";
+    // Built only on a failure path: mapping a valid image allocates
+    // nothing.
+    auto Name = [K] {
+      return std::string(sectionName(SectionKind(K))) + " (section " +
+             std::to_string(K) + ")";
+    };
     if (D.Kind != K)
       return fail(Error, "corpus image section table corrupt: slot " +
                              std::to_string(K) + " holds kind " +
                              std::to_string(D.Kind));
     if (D.Offset % SectionAlign != 0)
-      return fail(Error, "corpus image section " + Name + " is misaligned");
+      return fail(Error, "corpus image section " + Name() + " is misaligned");
     if (D.Offset < TableEnd || D.Offset > Bytes || D.Bytes > Bytes - D.Offset)
-      return fail(Error, "corpus image truncated: section " + Name +
+      return fail(Error, "corpus image truncated: section " + Name() +
                              " extends past the end of the file");
     if (D.Bytes % elemSize(SectionKind(K)) != 0)
-      return fail(Error, "corpus image section " + Name +
+      return fail(Error, "corpus image section " + Name() +
                              " has a size that is not a multiple of its "
                              "element size");
   }
@@ -778,6 +793,34 @@ std::vector<uint8_t> pst::buildCorpusImage(std::span<const Cfg *const> Fns,
     B.fill(I, *Fns[I], V, Trees[I], Names.empty() ? "" : Names[I]);
   }
   return B.finish();
+}
+
+std::vector<uint8_t> pst::buildFunctionImage(const CfgView &V,
+                                             const ProgramStructureTree &T,
+                                             const Cfg &Labels,
+                                             std::string_view Name) {
+  assert(Labels.numNodes() == V.numNodes() && "labels of a different graph");
+  FunctionShape Shape;
+  Shape.NumNodes = V.numNodes();
+  Shape.NumEdges = V.numEdges();
+  Shape.NumRegions = T.numRegions();
+  Shape.Entry = V.entry();
+  Shape.Exit = V.exit();
+  Shape.StrBytes = strBytes(Labels, Name);
+  LayoutCursor Cur;
+  const FuncRecord F = Cur.append(Shape);
+  ImageLayout L; // L.Funcs stays empty: the one record is F.
+  finalizeSectionLayout(1, Cur, L);
+
+  std::vector<uint8_t> Arena(L.FileBytes, 0);
+  uint8_t *Sec[NumSections];
+  for (uint32_t K = 0; K < NumSections; ++K)
+    Sec[K] = Arena.data() + L.SectionOffset[K];
+  std::memcpy(Sec[uint32_t(SectionKind::FuncTable)], &F, sizeof(F));
+  static constexpr uint64_t ZeroBias[NumSections] = {};
+  fillFunctionSlices(Sec, ZeroBias, F, Labels, V, T, Name, Shape.StrBytes);
+  sealArena(Arena, L, 1);
+  return Arena;
 }
 
 bool pst::writeImageFile(const std::string &Path,

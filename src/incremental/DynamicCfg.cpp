@@ -128,3 +128,28 @@ Cfg DynamicCfg::materialize(std::vector<EdgeId> *GlobalOfCompact,
   M.setExit(G.exit());
   return M;
 }
+
+CfgView DynamicCfg::view(CfgViewScratch &S) const {
+  const uint32_t N = G.numNodes();
+  S.SuccOff.assign(N + 2, 0);
+  S.PredOff.assign(N + 2, 0);
+  S.SuccEdge.resize(LiveEdges);
+  S.SuccTo.resize(LiveEdges);
+  S.PredEdge.resize(LiveEdges);
+  S.PredFrom.resize(LiveEdges);
+  S.EdgeSrc.resize(LiveEdges);
+  S.EdgeDst.resize(LiveEdges);
+  EdgeId C = 0;
+  for (EdgeId E = 0; E < G.numEdges(); ++E) {
+    if (Dead[E])
+      continue;
+    S.EdgeSrc[C] = G.source(E);
+    S.EdgeDst[C] = G.target(E);
+    ++C;
+  }
+  assert(C == LiveEdges && "live-edge count drifted");
+  return CfgView::fillCsr(N, LiveEdges, G.entry(), G.exit(), S.SuccOff.data(),
+                          S.PredOff.data(), S.SuccEdge.data(), S.SuccTo.data(),
+                          S.PredEdge.data(), S.PredFrom.data(),
+                          S.EdgeSrc.data(), S.EdgeDst.data());
+}

@@ -14,7 +14,6 @@
 
 #include "pst/obs/Telemetry.h"
 #include "pst/obs/ScopedTimer.h"
-#include "pst/obs/TelemetryMerge.h"
 
 #include <algorithm>
 #include <cassert>
@@ -258,19 +257,71 @@ void TelemetryRegistry::reset() {
   R.Epoch = Clock::now();
 }
 
+namespace {
+
+// The stats dump's serializer.
+
+void appendEscaped(std::ostream &OS, std::string_view S) {
+  for (char C : S) {
+    if (C == '"' || C == '\\')
+      OS << '\\' << C;
+    else if (static_cast<unsigned char>(C) < 0x20)
+      OS << ' ';
+    else
+      OS << C;
+  }
+}
+
+void appendStats(std::ostream &OS, const ValueStats &V) {
+  OS << "{\"count\": " << V.Count << ", \"sum\": " << V.Sum
+     << ", \"min\": " << (V.Count ? V.Min : 0) << ", \"max\": " << V.Max
+     << ", \"mean\": " << V.mean() << ", \"log2_buckets\": [";
+  bool First = true;
+  for (unsigned I = 0; I < ValueStats::NumBuckets; ++I) {
+    if (!V.Buckets[I])
+      continue;
+    OS << (First ? "" : ", ") << "[" << I << ", " << V.Buckets[I] << "]";
+    First = false;
+  }
+  OS << "]}";
+}
+
+template <class T, class Fn>
+void appendMap(std::ostream &OS, const char *Key,
+               const std::map<std::string, T> &M, Fn &&Value, bool Last) {
+  OS << "  \"" << Key << "\": {";
+  bool First = true;
+  for (const auto &[N, V] : M) {
+    OS << (First ? "\n    \"" : ",\n    \"");
+    appendEscaped(OS, N);
+    OS << "\": ";
+    Value(V);
+    First = false;
+  }
+  OS << (First ? "}" : "\n  }") << (Last ? "\n" : ",\n");
+}
+
+} // namespace
+
 std::string TelemetryRegistry::toJson() {
-  // Serialized through the same code path telemetry-merge uses
-  // (telemetryStatsToJson), so a parse -> reserialize round trip and a
-  // merged multi-process report are byte-compatible with this dump.
   TelemetrySnapshot S = snapshot();
-  TelemetryStats Out;
-  Out.Compiled = PST_TELEMETRY != 0;
-  Out.Enabled = Telemetry::enabled();
-  Out.SpansRetained = S.Spans.size();
-  Out.SpansDropped = S.DroppedSpans;
-  Out.SpansSampledOut = S.SampledOutSpans;
-  Out.Counters = std::move(S.Counters);
-  Out.Timers = std::move(S.Timers);
-  Out.Values = std::move(S.Values);
-  return telemetryStatsToJson(Out);
+  std::ostringstream OS;
+  OS << "{\n";
+  OS << "  \"telemetry_compiled\": " << (PST_TELEMETRY != 0 ? "true" : "false")
+     << ",\n";
+  OS << "  \"telemetry_enabled\": "
+     << (Telemetry::enabled() ? "true" : "false") << ",\n";
+  OS << "  \"spans_retained\": " << S.Spans.size() << ",\n";
+  OS << "  \"spans_dropped\": " << S.DroppedSpans << ",\n";
+  OS << "  \"spans_sampled_out\": " << S.SampledOutSpans << ",\n";
+  appendMap(OS, "counters", S.Counters,
+            [&OS](uint64_t V) { OS << V; }, /*Last=*/false);
+  appendMap(OS, "timers_ns", S.Timers,
+            [&OS](const ValueStats &V) { appendStats(OS, V); },
+            /*Last=*/false);
+  appendMap(OS, "values", S.Values,
+            [&OS](const ValueStats &V) { appendStats(OS, V); },
+            /*Last=*/true);
+  OS << "}\n";
+  return OS.str();
 }

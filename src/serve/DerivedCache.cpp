@@ -26,16 +26,25 @@
 using namespace pst;
 using namespace pst::serve;
 
-DerivedBundle::DerivedBundle(const CfgView &V, const ProgramStructureTree &)
-    : DerivedBundle(V, DomTree::buildIterative(V)) {}
+namespace {
 
-DerivedBundle::DerivedBundle(const CfgView &V, const DomTree &Dom)
-    : Idom(V.numNodes()), Df(V, Dom), Cdep(V, DomTree::buildPostDom(V)) {
-  for (NodeId N = 0; N < V.numNodes(); ++N)
-    Idom[N] = Dom.idom(N);
+std::vector<NodeId> copyOf(std::span<const NodeId> Ids) {
+  return std::vector<NodeId>(Ids.begin(), Ids.end());
+}
+
+} // namespace
+
+// Member order is build order: the forward idoms are copied out before
+// the reverse kernel run reuses the scratch's idom array.
+DerivedBundle::DerivedBundle(const CfgView &V, DomScratch &S)
+    : Idom(copyOf(immediateDominators(V, S))), Df(V, Idom, S),
+      Cdep(V, immediateDominators(V.reversed(), S), S) {
   Bytes = sizeof(DerivedBundle) + Idom.size() * sizeof(NodeId) + Df.bytes() +
           Cdep.bytes();
 }
+
+DerivedBundle::DerivedBundle(const CfgView &V, const ProgramStructureTree &)
+    : DerivedBundle(V, DomScratch()) {}
 
 const DerivedBundle *DerivedSlot::buildingSentinel() {
   // Any non-null pointer that can never be a real bundle address works;
@@ -53,8 +62,7 @@ DerivedSlot::~DerivedSlot() {
     delete P;
 }
 
-const DerivedBundle &DerivedSlot::get(const CfgView &V,
-                                      const ProgramStructureTree &T,
+const DerivedBundle &DerivedSlot::get(const CfgView &V, DomScratch &S,
                                       DerivedCacheCounters &C) const {
   const DerivedBundle *Sentinel = buildingSentinel();
   const DerivedBundle *P = Ptr.load(std::memory_order_acquire);
@@ -68,7 +76,7 @@ const DerivedBundle &DerivedSlot::get(const CfgView &V,
       if (Ptr.compare_exchange_strong(P, Sentinel, std::memory_order_acq_rel,
                                       std::memory_order_acquire)) {
         auto Start = std::chrono::steady_clock::now();
-        const DerivedBundle *B = new DerivedBundle(V, T);
+        const DerivedBundle *B = new DerivedBundle(V, S);
         uint64_t Ns = static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - Start)

@@ -7,9 +7,10 @@
 // and formats one deterministic response line. `region` and `regions`
 // read the frozen PST directly: PSTs are shallow, so the parent walk is
 // already effectively constant time. `dom`, `cdep` and `phi` go through
-// the per-epoch DerivedCache by default: first touch of a function
-// materializes its idom/frontier/cdep-CSR bundle once, and every later
-// query is a lookup. With the cache disabled
+// the per-epoch DerivedCache by default: a function's idom/frontier/
+// cdep-CSR bundle is built once (on the query's DomScratch at first touch
+// of a base-image function; by the committing writer for a refrozen
+// one), and every later query is a lookup. With the cache disabled
 // (ServeOptions::DerivedCache = false) each query derives what it needs
 // from the frozen views on the spot; both paths format byte-identical
 // responses, which tests and time_serve gate on.
@@ -205,8 +206,9 @@ PstServer::PstServer(CorpusImage Image, ServeOptions Options)
     Opts.NumShards = 1;
   Shards.reserve(Opts.NumShards);
   for (uint32_t I = 0; I < Opts.NumShards; ++I)
-    Shards.push_back(
-        std::make_unique<Shard>(Img, I, Opts.NumShards, Opts.EpochCapacity));
+    Shards.push_back(std::make_unique<Shard>(
+        Img, I, Opts.NumShards, Opts.EpochCapacity,
+        Opts.DerivedCache ? &CacheCounters : nullptr));
   Scratches.resize(Pool.numWorkers());
   ShardQueryProbes = queryProbes(Opts.NumShards);
   if (Opts.DerivedCache)
@@ -231,16 +233,6 @@ constexpr const char *KindQueryProbes[] = {
 static_assert(std::size(KindQueryProbes) ==
               static_cast<size_t>(RequestKind::Invalid));
 
-/// True when a query's probes record anything. Only then does a query read
-/// the clock and the epoch lag.
-bool probesOn() {
-#if PST_TELEMETRY
-  return Telemetry::enabled();
-#else
-  return false;
-#endif
-}
-
 std::string
 runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
          [[maybe_unused]] const std::vector<const char *> &ShardQueryProbes) {
@@ -259,7 +251,8 @@ runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
     Sc.Out += " functions)";
     return Sc.Out;
   }
-  const bool Timed = probesOn();
+  // Only a recorded query reads the clock and the epoch lag.
+  const bool Timed = telemetryRecording();
   std::chrono::steady_clock::time_point Start;
   if (Timed)
     Start = std::chrono::steady_clock::now();
@@ -286,7 +279,7 @@ runQuery(const PstServer &S, const Request &R, QueryScratch &Sc,
       return nullptr;
     const DerivedSlot &Slot =
         F.Snap ? F.Snap->derivedSlot() : S.derivedCache()->slot(R.Fn);
-    return &Slot.get(F.View, F.Pst, S.cacheCounters());
+    return &Slot.get(F.View, Sc.Dom, S.cacheCounters());
   };
 
   switch (R.Kind) {

@@ -27,8 +27,9 @@ const FunctionSnapshot *ShardEpoch::find(uint64_t Fn) const {
 }
 
 Shard::Shard(const CorpusImage &Base, uint32_t Index, uint32_t NumShards,
-             uint32_t EpochCapacity)
+             uint32_t EpochCapacity, DerivedCacheCounters *Derived)
     : Base(Base), Index(Index), NumShards(NumShards), Epochs(EpochCapacity),
+      Derived(Derived),
       ProbeCommitNs(internTelemetryName("serve.shard" + std::to_string(Index) +
                                         ".commit_ns")),
       ProbeRefrozen(internTelemetryName("serve.shard" + std::to_string(Index) +
@@ -150,15 +151,62 @@ uint32_t Shard::pendingFunctions() const {
   return N;
 }
 
+namespace {
+
+/// Splits a commit into phases. Reads the clock only when \p On, so an
+/// untimed commit reads none; every lap is then 0.
+class PhaseClock {
+public:
+  explicit PhaseClock(bool On) : On(On) {
+    if (On)
+      Start = Last = std::chrono::steady_clock::now();
+  }
+
+  /// Nanoseconds since the previous lap (or the start).
+  uint64_t lap() {
+    if (!On)
+      return 0;
+    auto Now = std::chrono::steady_clock::now();
+    uint64_t Ns = nsBetween(Last, Now);
+    Last = Now;
+    return Ns;
+  }
+
+  /// Nanoseconds from the start to the last lap.
+  uint64_t total() const { return On ? nsBetween(Start, Last) : 0; }
+
+private:
+  static uint64_t nsBetween(std::chrono::steady_clock::time_point A,
+                            std::chrono::steady_clock::time_point B) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(B - A).count());
+  }
+
+  bool On;
+  std::chrono::steady_clock::time_point Start, Last;
+};
+
+} // namespace
+
 uint64_t Shard::commit() {
   PST_SPAN("serve.commit");
-  auto Start = std::chrono::steady_clock::now();
+  const bool Timed = telemetryRecording();
+  PhaseClock Clock(Timed);
+  [[maybe_unused]] uint64_t FreezeNs = 0, BundleNs = 0, PublishNs = 0;
   bool Any = false;
   for (auto &[Fn, W] : Writers) {
     if (!W.Dirty)
       continue;
-    auto Snap = FunctionSnapshot::freeze(W.Graph.materialize(), W.Name);
+    auto Snap = FunctionSnapshot::freeze(W.Graph.view(Scratch.View),
+                                         W.Graph.graph(), W.Name, Scratch.Pst);
     assert(Snap && "refreeze of a validated graph cannot fail");
+    FreezeNs += Clock.lap();
+    if (Derived) {
+      // The slot is empty, so this builds; the snapshot is published
+      // with its bundle ready.
+      Snap->derivedSlot().get(Snap->cfg(), Scratch.Dom, *Derived);
+      BundleNs += Clock.lap();
+    }
     auto It = std::lower_bound(
         WorkingOverlay.begin(), WorkingOverlay.end(), Fn,
         [](const auto &Entry, uint64_t Key) { return Entry.first < Key; });
@@ -171,6 +219,7 @@ uint64_t Shard::commit() {
     PST_COUNTER("serve.functions_refrozen", 1);
     PST_COUNTER(ProbeRefrozen, 1);
     Any = true;
+    PublishNs += Clock.lap();
   }
   if (!Any)
     return Epochs.currentVersion();
@@ -181,12 +230,15 @@ uint64_t Shard::commit() {
   Epochs.publish(std::move(E), V);
   ++Commits;
   PST_COUNTER("serve.commits", 1);
-  uint64_t DurNs = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - Start)
-          .count());
-  PST_VALUE("serve.commit_ns", DurNs);
-  PST_VALUE(ProbeCommitNs, DurNs);
+  if (Timed) {
+    PublishNs += Clock.lap();
+    PST_VALUE("serve.commit.freeze_ns", FreezeNs);
+    if (Derived)
+      PST_VALUE("serve.commit.bundle_ns", BundleNs);
+    PST_VALUE("serve.commit.publish_ns", PublishNs);
+    PST_VALUE("serve.commit_ns", Clock.total());
+    PST_VALUE(ProbeCommitNs, Clock.total());
+  }
   return V;
 }
 

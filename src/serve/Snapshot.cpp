@@ -12,13 +12,12 @@ using namespace pst;
 using namespace pst::serve;
 
 std::shared_ptr<const FunctionSnapshot>
-FunctionSnapshot::freeze(const Cfg &G, std::string_view Name) {
-  const Cfg *Fns[1] = {&G};
-  std::string Names[1] = {std::string(Name)};
-  std::vector<uint8_t> Bytes = buildCorpusImage(Fns, Names);
-
-  // Private constructor: build in place, then hand out as shared const.
-  auto S = std::shared_ptr<FunctionSnapshot>(new FunctionSnapshot());
+FunctionSnapshot::freeze(const CfgView &V, const Cfg &Labels,
+                         std::string_view Name, PstBuildScratch &Scratch) {
+  std::vector<uint8_t> Bytes =
+      buildFunctionImage(V, ProgramStructureTree::build(V, Scratch), Labels,
+                         Name);
+  auto S = std::make_shared<FunctionSnapshot>(Key());
   std::string Error;
   S->Img = CorpusImage::fromBytes(std::move(Bytes), &Error);
   // The bytes came straight from the builder; a mapping failure here is a
@@ -30,6 +29,12 @@ FunctionSnapshot::freeze(const Cfg &G, std::string_view Name) {
   S->View = S->Img.cfg(0);
   S->Tree = S->Img.pst(0);
   return S;
+}
+
+std::shared_ptr<const FunctionSnapshot>
+FunctionSnapshot::freeze(const Cfg &G, std::string_view Name) {
+  PstBuildScratch Scratch;
+  return freeze(FrozenCfg(G), G, Name, Scratch);
 }
 
 bool pst::serve::snapshotMatchesFromScratch(const FunctionSnapshot &S,

@@ -15,15 +15,25 @@
 //   BodyForest                           11 (its flat buffers and one
 //                                            scratch), at any tree size
 //
-// A serving bundle is gated on what it keeps rather than what its build
-// makes: a window that records each allocation's address and size, and
-// drops it again when it is freed, leaves exactly the bundle's live
-// blocks. A bundle keeps 4 (itself, the idom array and the two CSRs)
-// whatever the function's size, and their bytes are its Bytes.
+//   DerivedBundle on a warm DomScratch     4 (itself, the idom array and
+//                                            the two CSRs)
+//   Shard::commit of one edited function   9 (the image bytes, the PST's
+//                                            transient buffer, the snapshot,
+//                                            its 4-block bundle, the epoch
+//                                            and its overlay copy)
+//   warm query of any kind                 1 (the response string)
+//
+// A serving bundle is also gated on what it keeps: a window that records
+// each allocation's address and size, and drops it again when it is
+// freed, leaves exactly the bundle's live blocks. A bundle keeps all 4 of
+// the blocks its build makes, whatever the function's size, and their
+// bytes are its Bytes.
 //
 // A query on a warm QueryScratch makes exactly 1: the response string it
 // returns. Every kind, error lines included, and functions whose bundle
-// lives in the base cache or in an overlay snapshot alike.
+// lives in the base cache or in an overlay snapshot alike; the first
+// `dom` query on a just-committed function included, since the commit
+// built its bundle.
 //
 // Nothing is asserted inside a counting window, so the framework's own
 // allocations never land in a count.
@@ -235,8 +245,8 @@ TEST(AllocGate, BodyForestMakesFixedBlocks) {
   expectEvery(Counts, 11);
 }
 
-TEST(AllocGate, BundleRetainsFixedBlockCount) {
-  // The paper corpus plus a sample of the stream corpus serving runs on.
+/// The paper corpus plus a sample of the stream corpus serving runs on.
+std::vector<Cfg> paperAndStreamGraphs() {
   std::vector<Cfg> Graphs = paperGraphs();
   StreamCorpusOptions Stream;
   std::string Name;
@@ -245,6 +255,26 @@ TEST(AllocGate, BundleRetainsFixedBlockCount) {
     generateStreamFunction(Stream, I, G, Name);
     Graphs.push_back(std::move(G));
   }
+  return Graphs;
+}
+
+/// A memory-backed image of \p Graphs, function I named "fn_I".
+CorpusImage imageOf(const std::vector<Cfg> &Graphs) {
+  std::vector<const Cfg *> Ptrs;
+  std::vector<std::string> Names;
+  for (size_t I = 0; I < Graphs.size(); ++I) {
+    Ptrs.push_back(&Graphs[I]);
+    Names.push_back("fn_" + std::to_string(I));
+  }
+  std::string Error;
+  CorpusImage Img =
+      CorpusImage::fromBytes(buildCorpusImage(Ptrs, Names), &Error);
+  EXPECT_TRUE(Img.valid()) << Error;
+  return Img;
+}
+
+TEST(AllocGate, BundleRetainsFixedBlockCount) {
+  std::vector<Cfg> Graphs = paperAndStreamGraphs();
 
   std::vector<uint64_t> Blocks(Graphs.size());
   for (size_t I = 0; I < Graphs.size(); ++I) {
@@ -275,23 +305,90 @@ TEST(AllocGate, BundleRetainsFixedBlockCount) {
   expectEvery(Blocks, 4);
 }
 
+TEST(AllocGate, BundleBuildMakesOnlyWhatItKeeps) {
+  std::vector<Cfg> Graphs = paperAndStreamGraphs();
+  std::vector<FrozenCfg> Views;
+  for (const Cfg &G : Graphs)
+    Views.emplace_back(G);
+  DomScratch S;
+  for (const FrozenCfg &V : Views)
+    serve::DerivedBundle(V, S);
+  std::vector<uint64_t> Counts(Views.size());
+  for (size_t I = 0; I < Views.size(); ++I) {
+    uint64_t Before = allocs();
+    auto B = std::make_unique<serve::DerivedBundle>(Views[I], S);
+    Counts[I] = allocs() - Before;
+  }
+  expectEvery(Counts, 4);
+}
+
+TEST(AllocGate, CommitMakesOnlyWhatItPublishes) {
+  // Function 0 is a ladder larger in nodes, edges and regions than any
+  // other function after two edits; committing it first warms the shard's
+  // scratch for all of them. Every other function is then edited and
+  // committed once, so it is in the overlay, and the counted pass edits
+  // and commits each again: one addBlock beside the entry's first edge.
+  std::vector<Cfg> Graphs = paperAndStreamGraphs();
+  Graphs.insert(Graphs.begin(), diamondLadderCfg(400));
+  std::vector<uint32_t> Regions;
+  for (const Cfg &G : Graphs)
+    Regions.push_back(ProgramStructureTree::build(FrozenCfg(G)).numRegions());
+  for (size_t I = 1; I < Graphs.size(); ++I) {
+    ASSERT_GT(Graphs[0].numNodes(), Graphs[I].numNodes() + 2) << I;
+    ASSERT_GT(Graphs[0].numEdges(), Graphs[I].numEdges() + 4) << I;
+    ASSERT_GT(Regions[0], Regions[I] + 4) << I;
+  }
+  serve::ServeOptions Opts;
+  Opts.NumShards = 1;
+  Opts.NumThreads = 1;
+  serve::PstServer Server(imageOf(Graphs), Opts);
+  serve::Shard &Sh = Server.shard(0);
+  auto Edit = [&](uint64_t Fn) {
+    const Cfg &G = Graphs[Fn];
+    const EdgeId E = G.succEdges(G.entry())[0];
+    return Sh.addBlock(Fn, G.source(E), G.target(E)) != InvalidNode;
+  };
+  for (uint64_t Fn = 0; Fn < Graphs.size(); ++Fn) {
+    ASSERT_TRUE(Edit(Fn));
+    Sh.commit();
+  }
+
+  serve::QueryScratch Sc;
+  serve::Request Dom;
+  Dom.Kind = serve::RequestKind::Dom;
+  Dom.A = 1;
+  Dom.Fn = 0;
+  (void)Server.execute(Dom, Sc); // Warms the response buffer.
+  const uint64_t BuildsBefore = Server.derivedCacheStats().Builds;
+  std::vector<uint64_t> Commits, Queries;
+  for (uint64_t Fn = 1; Fn < Graphs.size(); ++Fn) {
+    ASSERT_TRUE(Edit(Fn));
+    uint64_t A0 = allocs();
+    Sh.commit();
+    uint64_t A1 = allocs();
+    Dom.Fn = Fn;
+    std::string Out = Server.execute(Dom, Sc);
+    uint64_t A2 = allocs();
+    Commits.push_back(A1 - A0);
+    Queries.push_back(A2 - A1);
+    ASSERT_GT(Out.size(), std::string().capacity());
+  }
+  expectEvery(Commits, 9);
+  expectEvery(Queries, 1);
+  // One bundle per commit, built by the writer; the queries only hit.
+  EXPECT_EQ(Server.derivedCacheStats().Builds - BuildsBefore,
+            Graphs.size() - 1);
+  std::string Why;
+  EXPECT_TRUE(Sh.verifyPublished(&Why)) << Why;
+}
+
 TEST(AllocGate, WarmQueryMakesOne) {
   // The paper corpus behind a one-thread server; function 0 is edited and
   // committed first, so its queries resolve to an overlay snapshot.
   std::vector<Cfg> Graphs = paperGraphs();
-  std::vector<const Cfg *> Ptrs;
-  std::vector<std::string> Names;
-  for (size_t I = 0; I < Graphs.size(); ++I) {
-    Ptrs.push_back(&Graphs[I]);
-    Names.push_back("paper_fn_" + std::to_string(I));
-  }
-  std::string Error;
-  CorpusImage Img =
-      CorpusImage::fromBytes(buildCorpusImage(Ptrs, Names), &Error);
-  ASSERT_TRUE(Img.valid()) << Error;
   serve::ServeOptions Opts;
   Opts.NumThreads = 1;
-  serve::PstServer Server(std::move(Img), Opts);
+  serve::PstServer Server(imageOf(Graphs), Opts);
   serve::Shard &Sh0 = Server.shardOf(0);
   const EdgeId E0 = Graphs[0].succEdges(Graphs[0].entry())[0];
   ASSERT_NE(Sh0.addBlock(0, Graphs[0].source(E0), Graphs[0].target(E0)),

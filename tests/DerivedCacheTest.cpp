@@ -39,6 +39,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -282,10 +283,13 @@ TEST(DerivedCacheTest, CachedMatchesUncachedAcrossRandomizedEditRounds) {
     return Rng;
   };
 
+  uint64_t Tombstoning = 0; // Accepted deleteEdge and splitBlock edits.
   for (int Round = 0; Round < 10; ++Round) {
     // Identical edits on both servers, driven off the cached server's
     // writer graphs (both evolve in lockstep, so the ops stay valid or
-    // get rejected identically).
+    // get rejected identically). deleteEdge and splitBlock leave
+    // tombstones in the writer graph, which the commit's view drops.
+    std::set<uint64_t> Edited;
     for (int E = 0; E < 4; ++E) {
       uint64_t Fn = Next() % 8;
       Shard &A = Cached.shardOf(Fn);
@@ -295,27 +299,56 @@ TEST(DerivedCacheTest, CachedMatchesUncachedAcrossRandomizedEditRounds) {
         continue;
       EdgeId Edge = static_cast<EdgeId>(Next() % G.numEdges());
       NodeId Src = G.source(Edge), Dst = G.target(Edge);
-      switch (Next() % 3) {
+      bool Accepted = false;
+      switch (Next() % 4) {
       case 0:
-        A.addBlock(Fn, Src, Dst);
-        B.addBlock(Fn, Src, Dst);
+        Accepted = A.addBlock(Fn, Src, Dst) != InvalidNode;
+        ASSERT_EQ(B.addBlock(Fn, Src, Dst) != InvalidNode, Accepted);
         break;
       case 1:
-        A.splitBlock(Fn, Src, Dst);
-        B.splitBlock(Fn, Src, Dst);
+        Accepted = A.splitBlock(Fn, Src, Dst) != InvalidNode;
+        ASSERT_EQ(B.splitBlock(Fn, Src, Dst) != InvalidNode, Accepted);
+        Tombstoning += Accepted;
+        break;
+      case 2:
+        Accepted = A.deleteEdge(Fn, Src, Dst);
+        ASSERT_EQ(B.deleteEdge(Fn, Src, Dst), Accepted);
+        Tombstoning += Accepted;
         break;
       default:
-        A.insertEdge(Fn, Src, Dst);
-        B.insertEdge(Fn, Src, Dst);
+        Accepted = A.insertEdge(Fn, Src, Dst) != InvalidEdge;
+        ASSERT_EQ(B.insertEdge(Fn, Src, Dst) != InvalidEdge, Accepted);
         break;
       }
+      if (Accepted)
+        Edited.insert(Fn);
     }
     // shardOf(Fn) maps by Fn % NumShards, so Fn = 0..NumShards-1 visits
-    // every shard once.
+    // every shard once. The cached server's commits build one bundle per
+    // refrozen function; the uncached server's build none.
+    const DerivedCacheStats BeforeCommits = Cached.derivedCacheStats();
     for (uint64_t Sh = 0; Sh < Cached.numShards(); ++Sh) {
       Cached.shardOf(Sh).commit();
       Uncached.shardOf(Sh).commit();
     }
+    const DerivedCacheStats AfterCommits = Cached.derivedCacheStats();
+    ASSERT_EQ(AfterCommits.Builds - BeforeCommits.Builds, Edited.size())
+        << "round " << Round;
+
+    // The first dom/cdep/phi queries on each edited function find its
+    // bundle ready: hits only, no build, no wait.
+    for (uint64_t Fn : Edited) {
+      Cached.execute(makeRequest(RequestKind::Dom, Fn, 0));
+      Cached.execute(makeRequest(RequestKind::Cdep, Fn, 0));
+      Request Phi = makeRequest(RequestKind::Phi, Fn);
+      Phi.Defs = {0};
+      Cached.execute(Phi);
+    }
+    const DerivedCacheStats AfterFirst = Cached.derivedCacheStats();
+    EXPECT_EQ(AfterFirst.Builds, AfterCommits.Builds) << "round " << Round;
+    EXPECT_EQ(AfterFirst.Waits, AfterCommits.Waits) << "round " << Round;
+    EXPECT_EQ(AfterFirst.Hits - AfterCommits.Hits, 3 * Edited.size())
+        << "round " << Round;
 
     for (uint64_t Fn = 0; Fn < Cached.numFunctions(); ++Fn)
       for (const Request &R : queryBattery(Cached, Fn))
@@ -323,13 +356,21 @@ TEST(DerivedCacheTest, CachedMatchesUncachedAcrossRandomizedEditRounds) {
             << "round " << Round << " fn " << Fn;
 
     std::string Why;
-    for (uint64_t Sh = 0; Sh < Cached.numShards(); ++Sh)
+    for (uint64_t Sh = 0; Sh < Cached.numShards(); ++Sh) {
       ASSERT_TRUE(Cached.shardOf(Sh).verifyPublished(&Why))
           << "round " << Round << ": " << Why;
+      ASSERT_TRUE(Uncached.shardOf(Sh).verifyPublished(&Why))
+          << "round " << Round << ": " << Why;
+    }
   }
+  // The rounds did leave tombstones behind.
+  EXPECT_GT(Tombstoning, 0u);
   // The edit rounds really did turn bundles over: more builds than base
   // functions means refrozen snapshots were rebuilt, not reused.
   EXPECT_GT(Cached.derivedCacheStats().Builds, Cached.numFunctions());
+  // The uncached server never built, hit or waited on a bundle.
+  DerivedCacheStats Never = Uncached.derivedCacheStats();
+  EXPECT_EQ(Never.Builds + Never.Hits + Never.Waits, 0u);
 }
 
 /// TSan-facing: many readers race the first touch of every slot on a
@@ -394,8 +435,14 @@ TEST(DerivedCacheTest, ConcurrentReadersDuringCommits) {
   for (uint64_t Fn = 1; Fn < S.numFunctions(); ++Fn)
     for (const Request &R : queryBattery(S, Fn))
       Stable.push_back(R);
+  // Serially, so the warm-up itself cannot wait. fn 0's base bundle is
+  // warmed too: with every base bundle built and every overlay bundle
+  // built by the committing writer, no reader ever builds or waits.
   std::vector<std::string> Baseline;
-  S.executeBatch(Stable, Baseline);
+  for (const Request &R : Stable)
+    Baseline.push_back(S.execute(R));
+  ASSERT_EQ(S.execute(makeRequest(RequestKind::Dom, 0, 3)),
+            "ok dom fn=0 node=3 idom=0");
 
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Iterations{0};
@@ -405,8 +452,8 @@ TEST(DerivedCacheTest, ConcurrentReadersDuringCommits) {
       // The caller-provided-scratch overload is the thread-safe path.
       QueryScratch Sc;
       while (!Stop.load(std::memory_order_relaxed)) {
-        // fn 0 is the edited one: its bundle is rebuilt first-touch
-        // after every commit, racing the other readers.
+        // fn 0 is the edited one: every commit publishes it with a
+        // freshly built bundle.
         ASSERT_EQ(S.execute(makeRequest(RequestKind::Dom, 0, 3), Sc),
                   "ok dom fn=0 node=3 idom=0");
         S.execute(makeRequest(RequestKind::Cdep, 0, 1), Sc);
@@ -438,11 +485,11 @@ TEST(DerivedCacheTest, ConcurrentReadersDuringCommits) {
 
   std::string Why;
   EXPECT_TRUE(S.shardOf(0).verifyPublished(&Why)) << Why;
-  // Builds covered the base slots plus refrozen snapshots the readers
-  // touched; waits may or may not have happened depending on scheduling,
-  // but nothing was ever double-built for the stable functions: their
-  // answers never flickered (asserted in-loop above).
-  EXPECT_GE(S.derivedCacheStats().Builds, S.numFunctions());
+  // Exactly the base slots plus one bundle per commit, and no reader
+  // ever waited, however the threads were scheduled.
+  DerivedCacheStats St = S.derivedCacheStats();
+  EXPECT_EQ(St.Builds, S.numFunctions() + NumCommits);
+  EXPECT_EQ(St.Waits, 0u);
 }
 
 //===----------------------------------------------------------------------===//

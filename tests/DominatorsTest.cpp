@@ -8,6 +8,7 @@
 
 #include "pst/dom/Dominators.h"
 
+#include "pst/dom/ControlDependenceCsr.h"
 #include "pst/graph/CfgAlgorithms.h"
 #include "pst/support/BitVector.h"
 #include "pst/workload/CfgGenerators.h"
@@ -276,6 +277,68 @@ TEST(DominanceFrontiers, ScratchIteratedMatchesFixpoint) {
     }
   }
   EXPECT_GT(Calls, 1000u);
+}
+
+TEST(DomScratchTest, ReusedScratchMatchesLengauerTarjan) {
+  // One DomScratch serves every graph, in an order that grows and shrinks
+  // it: irreducible copies, self-loop- and parallel-edge-heavy random
+  // graphs, deep nests, and a view (not a valid CFG) with a node
+  // unreachable from entry and one that cannot reach exit. A buffer left
+  // stale by a larger graph would show up as a wrong idom, frontier or
+  // cdep row in a smaller one.
+  std::vector<Cfg> Graphs;
+  Rng R(424242);
+  for (uint32_t Round = 0; Round < 6; ++Round) {
+    Graphs.push_back(irreducibleCfg(1 + (Round * 3) % 5));
+    RandomCfgOptions Opts;
+    Opts.NumNodes = 3 + static_cast<uint32_t>(R.nextBelow(60));
+    Opts.NumExtraEdges = static_cast<uint32_t>(R.nextBelow(80));
+    Opts.SelfLoopProb = 0.3;
+    Opts.ParallelProb = 0.3;
+    Graphs.push_back(randomBackboneCfg(R, Opts));
+    Graphs.push_back(Round % 2 ? nestedRepeatUntilCfg(150 + 20 * Round)
+                               : nestedWhileCfg(40 + 10 * Round, 2));
+    Graphs.push_back(chainCfg(Round));
+  }
+  Cfg Odd;
+  for (int I = 0; I < 5; ++I)
+    Odd.addNode("n" + std::to_string(I));
+  Odd.addEdge(0, 1);
+  Odd.addEdge(1, 3);
+  Odd.addEdge(2, 1); // 2 is unreachable from entry.
+  Odd.addEdge(1, 4); // 4 cannot reach exit.
+  Odd.setEntry(0);
+  Odd.setExit(3);
+  Graphs.insert(Graphs.begin() + 3, Odd);
+
+  DomScratch S;
+  for (size_t I = 0; I < Graphs.size(); ++I) {
+    FrozenCfg Frozen(Graphs[I]);
+    const CfgView &V = Frozen;
+    for (const CfgView &Dir : {V, V.reversed()}) {
+      DomTree LT = DomTree::buildLengauerTarjan(Dir);
+      std::span<const NodeId> Idom = immediateDominators(Dir, S);
+      ASSERT_EQ(Idom.size(), Dir.numNodes()) << "graph " << I;
+      for (NodeId N = 0; N < Dir.numNodes(); ++N)
+        ASSERT_EQ(Idom[N], LT.idom(N)) << "graph " << I << " node " << N;
+    }
+    // The fills from the scratch's idoms equal the tree-based ones.
+    DominanceFrontiers TreeDf(V, DomTree::buildLengauerTarjan(V));
+    DominanceFrontiers KernelDf(V, immediateDominators(V, S), S);
+    ControlDependenceCsr TreeCdep(V,
+                                  DomTree::buildLengauerTarjan(V.reversed()));
+    ControlDependenceCsr KernelCdep(V, immediateDominators(V.reversed(), S),
+                                    S);
+    ASSERT_EQ(KernelCdep.relationSize(), TreeCdep.relationSize())
+        << "graph " << I;
+    for (NodeId N = 0; N < V.numNodes(); ++N) {
+      ASSERT_EQ(asVector(KernelDf.frontier(N)), asVector(TreeDf.frontier(N)))
+          << "graph " << I << " node " << N;
+      ASSERT_EQ(asVector(KernelCdep.controllingEdges(N)),
+                asVector(TreeCdep.controllingEdges(N)))
+          << "graph " << I << " node " << N;
+    }
+  }
 }
 
 // Property sweep: iterative == Lengauer-Tarjan == oracle on random CFGs.

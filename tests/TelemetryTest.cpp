@@ -18,7 +18,6 @@
 
 #include "pst/obs/ScopedTimer.h"
 #include "pst/obs/Telemetry.h"
-#include "pst/obs/TelemetryMerge.h"
 #include "pst/obs/TraceWriter.h"
 
 #include "pst/core/RegionAnalysis.h"
@@ -396,91 +395,6 @@ TEST_F(TelemetryTest, SpanSamplingPhaseRestartsOnReset) {
   TelemetrySnapshot S = TelemetryRegistry::global().snapshot();
   EXPECT_EQ(S.Spans.size(), 1u);
   EXPECT_EQ(S.SampledOutSpans, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Cross-process merging (pst/obs/TelemetryMerge.h)
-//===----------------------------------------------------------------------===//
-
-TEST_F(TelemetryTest, MergeParseRoundTripIsByteIdentical) {
-  Telemetry::setEnabled(true);
-  Telemetry::addCounter("m.count", 7);
-  Telemetry::recordValue("m.val", 3);
-  Telemetry::recordValue("m.val", 1000000);
-  { ScopedTimer T("m.span"); }
-
-  std::string Dump = TelemetryRegistry::global().toJson();
-  TelemetryStats S;
-  std::string Error;
-  ASSERT_TRUE(parseTelemetryJson(Dump, S, &Error)) << Error;
-  EXPECT_EQ(telemetryStatsToJson(S), Dump);
-  EXPECT_EQ(S.Counters["m.count"], 7u);
-  EXPECT_EQ(S.Values["m.val"].Count, 2u);
-  EXPECT_EQ(S.Values["m.val"].Sum, 1000003u);
-}
-
-TEST_F(TelemetryTest, MergeAddsCountersAndHistograms) {
-  TelemetryStats A;
-  A.Enabled = true;
-  A.SpansRetained = 10;
-  A.SpansSampledOut = 5;
-  A.Counters["shared"] = 3;
-  A.Counters["only_a"] = 1;
-  A.Values["lat"].record(4);
-  A.Values["lat"].record(8);
-
-  TelemetryStats B;
-  B.Enabled = false;
-  B.SpansRetained = 2;
-  B.SpansDropped = 1;
-  B.Counters["shared"] = 39;
-  B.Values["lat"].record(1);
-
-  TelemetryStats Parts[2] = {std::move(A), std::move(B)};
-  TelemetryStats M = mergeTelemetryStats(Parts);
-  EXPECT_TRUE(M.Compiled);
-  EXPECT_TRUE(M.Enabled); // OR of the parts.
-  EXPECT_EQ(M.SpansRetained, 12u);
-  EXPECT_EQ(M.SpansDropped, 1u);
-  EXPECT_EQ(M.SpansSampledOut, 5u);
-  EXPECT_EQ(M.Counters["shared"], 42u);
-  EXPECT_EQ(M.Counters["only_a"], 1u);
-  EXPECT_EQ(M.Values["lat"].Count, 3u);
-  EXPECT_EQ(M.Values["lat"].Sum, 13u);
-  EXPECT_EQ(M.Values["lat"].Min, 1u);
-  EXPECT_EQ(M.Values["lat"].Max, 8u);
-  // The merged mean is recomputed from count/sum, not averaged.
-  EXPECT_NE(telemetryStatsToJson(M).find("\"mean\": 4.33333"),
-            std::string::npos);
-}
-
-TEST_F(TelemetryTest, MergeEmptyStatsKeepMinSentinel) {
-  // An empty histogram serializes min as 0; the parser must restore the
-  // sentinel so merging it under a real histogram keeps the true min.
-  TelemetryStats Empty;
-  Empty.Values["lat"]; // Count == 0.
-  std::string Dump = telemetryStatsToJson(Empty);
-  TelemetryStats Parsed;
-  ASSERT_TRUE(parseTelemetryJson(Dump, Parsed));
-  EXPECT_EQ(Parsed.Values["lat"].Min, ~uint64_t(0));
-
-  TelemetryStats Real;
-  Real.Values["lat"].record(100);
-  TelemetryStats Parts[2] = {std::move(Parsed), std::move(Real)};
-  TelemetryStats M = mergeTelemetryStats(Parts);
-  EXPECT_EQ(M.Values["lat"].Min, 100u);
-}
-
-TEST_F(TelemetryTest, ParseRejectsMalformedDumps) {
-  TelemetryStats S;
-  std::string Error;
-  EXPECT_FALSE(parseTelemetryJson("{\"telemetry_compiled\": maybe}", S,
-                                  &Error));
-  EXPECT_FALSE(Error.empty());
-  EXPECT_FALSE(parseTelemetryJson("not json at all", S, &Error));
-  EXPECT_FALSE(parseTelemetryJson("{\"unknown_key\": 1}", S, &Error));
-  // Truncated input.
-  EXPECT_FALSE(parseTelemetryJson("{\"counters\": {\"a\": 1", S, &Error));
 }
 
 //===----------------------------------------------------------------------===//
